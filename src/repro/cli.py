@@ -20,16 +20,17 @@ from typing import Sequence
 from repro.analysis import format_table, jain_index, print_series
 from repro.baselines import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
                              EricaAlgorithm)
+from repro.configs import NAMED, ONOFF_SEED, PAPER
 from repro.core import (BinaryPhantomAlgorithm, PhantomAlgorithm,
                         max_min_allocation)
 from repro.lint import cli as lint_cli
 from repro.obs import cli as obs_cli
 from repro.scenarios import (drop_tail_policy, many_flows, mixed_stacks,
-                             on_off, parking_lot, rtt_fairness, rtt_spread,
-                             selective_discard_policy, selective_efci_policy,
-                             selective_quench_policy, selective_red_policy,
-                             staggered_start, tcp_parking_lot, transient,
+                             rtt_fairness, selective_discard_policy,
+                             selective_efci_policy, selective_quench_policy,
+                             selective_red_policy, tcp_parking_lot,
                              vegas_thresholds)
+from repro.scenarios.generic import build_atm
 
 ATM_ALGORITHMS = {
     "phantom": PhantomAlgorithm,
@@ -40,13 +41,10 @@ ATM_ALGORITHMS = {
     "erica": EricaAlgorithm,
 }
 
-ATM_SCENARIOS = {
-    "staggered": staggered_start,
-    "onoff": on_off,
-    "rtt": rtt_spread,
-    "parking-lot": parking_lot,
-    "transient": transient,
-}
+#: ``--scenario`` name -> named configuration (repro.configs);
+#: the parking lot keeps its historical flag name.
+ATM_SCENARIOS = {"parking-lot" if name == "parking" else name: name
+                 for name in PAPER}
 
 TCP_POLICIES = {
     "drop-tail": drop_tail_policy,
@@ -83,22 +81,21 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 #: CLI's flag-level names, so the HealthReport's oracle gating judges
 #: `repro atm/tcp` runs exactly like `repro suite` tasks.
 HEALTH_SCENARIOS = {
-    "atm": {"staggered": "atm.staggered", "rtt": "atm.rtt",
-            "onoff": "atm.onoff", "parking-lot": "atm.parking",
-            "transient": "atm.transient"},
+    "atm": {flag: f"atm.{name}" for flag, name in ATM_SCENARIOS.items()},
     "tcp": {"rtt": "tcp.rtt", "parking-lot": "tcp.parking",
             "many": "tcp.many", "vegas": "tcp.vegas",
             "mixed": "tcp.mixed"},
 }
 
 
-def _write_obs_artifacts(command: str, params: dict, run, tracer,
-                         wall_s: float, trace_path: str,
-                         manifest_path: str, seed=None,
-                         health_scenario: str | None = None) -> None:
+def write_obs_artifacts(command: str, params: dict, run, tracer,
+                        wall_s: float, trace_path: str,
+                        manifest_path: str, seed=None,
+                        health_scenario: str | None = None) -> None:
     """Write the run's trace (when recorded) and manifest (unless
     disabled with ``--manifest ''``), with the run's HealthReport
-    folded into the manifest."""
+    folded into the manifest.  Shared by ``repro atm/tcp`` and ``repro
+    fluid run``."""
     from repro import obs
 
     if tracer is not None and trace_path:
@@ -119,21 +116,23 @@ def _write_obs_artifacts(command: str, params: dict, run, tracer,
 
 def _cmd_atm(args: argparse.Namespace) -> int:
     algorithm = ATM_ALGORITHMS[args.algorithm]
-    scenario = ATM_SCENARIOS[args.scenario]
     kwargs = {"duration": args.duration}
     if args.scenario == "staggered" and args.sessions is not None:
         kwargs["n_sessions"] = args.sessions
-    if args.scenario == "onoff" and args.seed is not None:
-        kwargs["seed"] = args.seed
+    # only the on/off configuration draws random numbers, so --seed is
+    # recorded for it alone; the others run the same under any seed
+    seed = args.seed if args.scenario == "onoff" else None
     tracer = None
     if args.trace:
         from repro.obs import Tracer
         tracer = Tracer()
-        kwargs["tracer"] = tracer
+    config = NAMED[ATM_SCENARIOS[args.scenario]](**kwargs)
     # wall-clock read is the measurement itself (CLI layer, not
     # simulation code); the simulated outcome stays deterministic
     start = time.perf_counter()  # lint: disable=DET002
-    run = scenario(algorithm, **kwargs)
+    run = build_atm(config, algorithm_factory=algorithm,
+                    seed=ONOFF_SEED if seed is None else seed,
+                    tracer=tracer)
     wall_s = time.perf_counter() - start  # lint: disable=DET002
 
     series = {f"ACR {vc} [Mb/s]": s.acr_probe
@@ -159,11 +158,9 @@ def _cmd_atm(args: argparse.Namespace) -> int:
               "duration": args.duration}
     if args.sessions is not None:
         params["sessions"] = args.sessions
-    _write_obs_artifacts("atm", params, run, tracer, wall_s,
-                         args.trace, args.manifest,
-                         seed=kwargs.get("seed"),
-                         health_scenario=HEALTH_SCENARIOS["atm"]
-                         [args.scenario])
+    write_obs_artifacts("atm", params, run, tracer, wall_s, args.trace,
+                        args.manifest, seed=seed,
+                        health_scenario=HEALTH_SCENARIOS["atm"][args.scenario])
     return 0
 
 
@@ -192,10 +189,10 @@ def _cmd_tcp(args: argparse.Namespace) -> int:
           f"mean {run.queue_stats()['mean']:.1f} packets")
     params = {"scenario": args.scenario, "policy": args.policy,
               "duration": args.duration}
-    _write_obs_artifacts("tcp", params, run, tracer, wall_s,
-                         args.trace, args.manifest,
-                         health_scenario=HEALTH_SCENARIOS["tcp"]
-                         [args.scenario])
+    write_obs_artifacts("tcp", params, run, tracer, wall_s,
+                        args.trace, args.manifest,
+                        health_scenario=HEALTH_SCENARIOS["tcp"]
+                        [args.scenario])
     return 0
 
 

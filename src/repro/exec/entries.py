@@ -5,12 +5,20 @@ JSON-able keyword arguments — algorithm and policy choices travel as
 *names* and are resolved here, inside the worker, against the same
 tables the CLI uses.  Entries return the run handles the scenario
 builders produce (:class:`~repro.scenarios.results.AtmRun` /
-``TcpRun``), which the worker reduces to metrics and probe digests.
+``TcpRun`` / ``FluidRun``), which the worker reduces to metrics and
+probe digests.
 
-Fingerprint roots: every ATM entry declares ``repro.scenarios.atm`` (or
-the modules it builds from directly) and every TCP entry
-``repro.scenarios.tcp``; :func:`atm_param_deps` / :func:`tcp_param_deps`
-add the module defining the *chosen* algorithm/policy, so an edit to
+The named ATM configurations (:data:`repro.configs.NAMED`)
+register as ``atm.<name>`` and the fluid-tier ones as ``fluid.<name>``;
+each entry is one statement that builds the named config and runs it
+through :func:`~repro.scenarios.generic.build_atm` or
+:func:`~repro.fluid.scenarios.build_fluid`.
+
+Fingerprint roots: every ATM entry declares ``repro.scenarios.generic``
+(whose closure holds the config table), every fluid entry
+``repro.fluid.scenarios`` and every TCP entry ``repro.scenarios.tcp``;
+:func:`atm_param_deps` / :func:`tcp_param_deps` add the module defining
+the *chosen* algorithm/policy, so an edit to
 ``repro/baselines/capc.py`` invalidates only the CAPC tasks.
 """
 
@@ -19,19 +27,20 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Mapping, Sequence
 
-from repro.atm import AbrParams, AtmNetwork
+from repro.atm import AbrParams
 from repro.baselines import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
                              EricaAlgorithm)
 from repro.baselines.aprc import AprcParams
 from repro.baselines.capc import CapcParams
 from repro.baselines.eprca import EprcaParams
 from repro.baselines.erica import EricaParams
+from repro.configs import FLUID, NAMED, ONOFF_SEED, Params
 from repro.core import (BinaryPhantomAlgorithm, PhantomAlgorithm,
                         PhantomParams)
 from repro.exec.registry import register_scenario
 from repro.fluid import hybrid as fluid_hybrid
 from repro.fluid import scenarios as fluid_scenarios
-from repro.scenarios import atm as atm_scenarios
+from repro.fluid.scenarios import build_fluid, phantom_algorithm
 from repro.scenarios import generic as generic_scenarios
 from repro.scenarios import tcp as tcp_scenarios
 from repro.scenarios.results import AtmRun
@@ -84,13 +93,6 @@ def _algorithm_factory(algorithm: str,
     return partial(cls, params_cls(**opts), **extra)
 
 
-def _abr_params(session_params: Mapping[str, Any] | None) -> dict:
-    """``params=`` kwarg for scenario builders, or nothing for defaults."""
-    if session_params is None:
-        return {}
-    return {"params": AbrParams(**session_params)}
-
-
 def _policy_factory(policy: str,
                     policy_params: Mapping[str, Any] | None):
     """Picklable policy factory for the named router mechanism."""
@@ -114,126 +116,51 @@ def tcp_param_deps(params: dict) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # ATM entries
 # ----------------------------------------------------------------------
-def atm_staggered(algorithm: str = "phantom",
-                  algorithm_params: Mapping[str, Any] | None = None,
-                  session_params: Mapping[str, Any] | None = None,
-                  n_sessions: int = 2, stagger: float = 0.03,
-                  duration: float = 0.25,
-                  link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.staggered_start(
-        _algorithm_factory(algorithm, algorithm_params),
-        n_sessions=n_sessions, stagger=stagger, duration=duration,
-        link_rate=link_rate, **_abr_params(session_params))
-
-
-def atm_rtt(algorithm: str = "phantom",
-            algorithm_params: Mapping[str, Any] | None = None,
-            session_params: Mapping[str, Any] | None = None,
-            access_delays: Sequence[float] = (1e-5, 5e-4, 2e-3),
-            duration: float = 0.3, link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.rtt_spread(
-        _algorithm_factory(algorithm, algorithm_params),
-        access_delays=tuple(access_delays), duration=duration,
-        link_rate=link_rate, **_abr_params(session_params))
-
-
-def atm_onoff(algorithm: str = "phantom",
-              algorithm_params: Mapping[str, Any] | None = None,
-              session_params: Mapping[str, Any] | None = None,
-              greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
-              off_time: float = 0.02, duration: float = 0.4,
-              link_rate: float = 150.0, seed: int | None = 7) -> AtmRun:
-    return atm_scenarios.on_off(
-        _algorithm_factory(algorithm, algorithm_params),
-        greedy=greedy, bursty=bursty, on_time=on_time, off_time=off_time,
-        duration=duration, link_rate=link_rate, seed=seed,
-        **_abr_params(session_params))
-
-
-def atm_parking(algorithm: str = "phantom",
-                algorithm_params: Mapping[str, Any] | None = None,
-                session_params: Mapping[str, Any] | None = None,
-                hops: int = 3, duration: float = 0.3,
-                link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.parking_lot(
-        _algorithm_factory(algorithm, algorithm_params),
-        hops=hops, duration=duration, link_rate=link_rate,
-        **_abr_params(session_params))
-
-
-def atm_transient(algorithm: str = "phantom",
-                  algorithm_params: Mapping[str, Any] | None = None,
-                  session_params: Mapping[str, Any] | None = None,
-                  duration: float = 0.4, join_at: float = 0.1,
-                  leave_at: float = 0.25,
-                  link_rate: float = 150.0) -> AtmRun:
-    return atm_scenarios.transient(
-        _algorithm_factory(algorithm, algorithm_params),
-        duration=duration, join_at=join_at, leave_at=leave_at,
-        link_rate=link_rate, **_abr_params(session_params))
-
-
-def atm_background(algorithm: str = "phantom",
-                   algorithm_params: Mapping[str, Any] | None = None,
-                   n_sessions: int = 2, cbr_rate: float = 60.0,
-                   cbr_start: float = 0.15, cbr_stop: float = 0.30,
-                   duration: float = 0.45,
-                   link_rate: float = 150.0) -> AtmRun:
-    """ABR sessions sharing a trunk with a guaranteed CBR stream (E23)."""
-    net = AtmNetwork(
-        algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
-        link_rate=link_rate)
-    net.add_switch("S1")
-    net.add_switch("S2")
-    net.connect("S1", "S2")
-    for i in range(n_sessions):
-        net.add_session(f"s{i}", route=["S1", "S2"])
-    net.add_cbr("bg", route=["S1", "S2"], rate_mbps=cbr_rate,
-                start=cbr_start, stop=cbr_stop)
-    result = AtmRun(net=net, bottleneck=net.trunk("S1", "S2"),
-                    duration=duration)
-    net.run(until=duration)
-    return result
-
-
-def atm_weighted(algorithm: str = "phantom",
-                 algorithm_params: Mapping[str, Any] | None = None,
-                 weights: Mapping[str, float] | None = None,
-                 duration: float = 0.3,
-                 link_rate: float = 150.0) -> AtmRun:
-    """Weighted-Phantom fair-share split over one trunk (E25)."""
-    if weights is None:
-        weights = {"w1": 1.0, "w2": 2.0, "w4": 4.0}
-    net = AtmNetwork(
-        algorithm_factory=_algorithm_factory(algorithm, algorithm_params),
-        link_rate=link_rate)
-    net.add_switch("S1")
-    net.add_switch("S2")
-    net.connect("S1", "S2")
-    for name in sorted(weights):
-        net.add_session(name, route=["S1", "S2"],
-                        params=AbrParams(weight=weights[name]))
-    result = AtmRun(net=net, bottleneck=net.trunk("S1", "S2"),
-                    duration=duration)
-    net.run(until=duration)
-    return result
-
-
-def fuzz_generic(config: Mapping[str, Any],
-                 seed: int | None = None) -> AtmRun:
-    """Config-driven ATM scenario — the fuzzer's resolution target.
-
-    Unlike every other ATM entry, the whole scenario (topology,
-    sessions, schedules, algorithm) arrives as the spec's inline
-    ``config`` mapping; only the algorithm name/params are resolved
-    here, against the same table the hand-written entries use.
-    """
+def _build_atm(config: Mapping[str, Any],
+               seed: int | None = None) -> AtmRun:
+    """A config on the packet tier, its algorithm resolved by name."""
     return generic_scenarios.build_atm(
         config,
         algorithm_factory=_algorithm_factory(
             config.get("algorithm", "phantom"),
             config.get("algorithm_params")),
         seed=seed)
+
+
+def atm_config(config: Mapping[str, Any],
+               seed: int | None = None) -> AtmRun:
+    """``fuzz.generic``: the spec's inline ``config`` carries the whole
+    scenario (topology, sessions, schedules, algorithm).  A spec without
+    a seed runs under seed 0, so its on/off periods are still drawn."""
+    return _build_atm(config, 0 if seed is None else seed)
+
+
+def atm_staggered(**params) -> AtmRun:
+    return _build_atm(NAMED["staggered"](**params))
+
+
+def atm_rtt(**params) -> AtmRun:
+    return _build_atm(NAMED["rtt"](**params))
+
+
+def atm_onoff(seed: int | None = ONOFF_SEED, **params) -> AtmRun:
+    return _build_atm(NAMED["onoff"](**params), seed)
+
+
+def atm_parking(**params) -> AtmRun:
+    return _build_atm(NAMED["parking"](**params))
+
+
+def atm_transient(**params) -> AtmRun:
+    return _build_atm(NAMED["transient"](**params))
+
+
+def atm_background(**params) -> AtmRun:
+    return _build_atm(NAMED["background"](**params))
+
+
+def atm_weighted(**params) -> AtmRun:
+    return _build_atm(NAMED["weighted"](**params))
 
 
 def fuzz_param_deps(params: dict) -> tuple[str, ...]:
@@ -252,53 +179,42 @@ def _phantom_params(phantom_params: Mapping[str, Any] | None):
     return {"phantom": PhantomParams(**phantom_params)}
 
 
-def fluid_staggered(n_sessions: int = 2, stagger: float = 0.03,
-                    duration: float = 0.25, link_rate: float = 150.0,
-                    flows_per_session: int = 1, mode: str = "er",
+def _abr_params(session_params: Mapping[str, Any] | None) -> dict:
+    """``params=`` kwarg for fluid builders, or nothing for defaults."""
+    if session_params is None:
+        return {}
+    return {"params": AbrParams(**session_params)}
+
+
+def fluid_staggered(flows_per_session: int = 1, mode: str = "er",
                     use_ni: bool = False, ni_fraction: float = 0.8,
-                    rm_loss: float = 0.0,
-                    session_params: Mapping[str, Any] | None = None,
-                    phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.staggered_start(
-        n_sessions=n_sessions, stagger=stagger, duration=duration,
-        link_rate=link_rate, flows_per_session=flows_per_session,
-        mode=mode, use_ni=use_ni, ni_fraction=ni_fraction,
-        rm_loss=rm_loss, **_abr_params(session_params),
-        **_phantom_params(phantom_params))
+                    rm_loss: float = 0.0, phantom_params: Params = None,
+                    **params):
+    law = phantom_algorithm(phantom_params, mode, use_ni, ni_fraction)
+    return build_fluid({**NAMED["staggered"](**params, **law),
+                        "rm_loss": rm_loss},
+                       flows_per_session=flows_per_session)
 
 
-def fluid_onoff(greedy: int = 1, bursty: int = 2, on_time: float = 0.02,
-                off_time: float = 0.02, duration: float = 0.4,
-                link_rate: float = 150.0, flows_per_session: int = 1,
-                seed: int | None = 7,
-                session_params: Mapping[str, Any] | None = None,
-                phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.on_off(
-        greedy=greedy, bursty=bursty, on_time=on_time,
-        off_time=off_time, duration=duration, link_rate=link_rate,
-        flows_per_session=flows_per_session, seed=seed,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+def fluid_onoff(seed: int | None = ONOFF_SEED, flows_per_session: int = 1,
+                phantom_params: Params = None, **params):
+    return build_fluid(
+        NAMED["onoff"](**params, **phantom_algorithm(phantom_params)),
+        flows_per_session=flows_per_session, seed=seed)
 
 
-def fluid_parking(hops: int = 3, duration: float = 0.3,
-                  link_rate: float = 150.0, flows_per_session: int = 1,
-                  session_params: Mapping[str, Any] | None = None,
-                  phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.parking_lot(
-        hops=hops, duration=duration, link_rate=link_rate,
-        flows_per_session=flows_per_session,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+def fluid_parking(flows_per_session: int = 1, phantom_params: Params = None,
+                  **params):
+    return build_fluid(
+        NAMED["parking"](**params, **phantom_algorithm(phantom_params)),
+        flows_per_session=flows_per_session)
 
 
-def fluid_transient(duration: float = 0.4, join_at: float = 0.1,
-                    leave_at: float = 0.25, link_rate: float = 150.0,
-                    flows_per_session: int = 1,
-                    session_params: Mapping[str, Any] | None = None,
-                    phantom_params: Mapping[str, Any] | None = None):
-    return fluid_scenarios.transient(
-        duration=duration, join_at=join_at, leave_at=leave_at,
-        link_rate=link_rate, flows_per_session=flows_per_session,
-        **_abr_params(session_params), **_phantom_params(phantom_params))
+def fluid_transient(flows_per_session: int = 1,
+                    phantom_params: Params = None, **params):
+    return build_fluid(
+        NAMED["transient"](**params, **phantom_algorithm(phantom_params)),
+        flows_per_session=flows_per_session)
 
 
 def fluid_many(cohorts: int = 1000, flows_per_cohort: int = 1000,
@@ -392,43 +308,26 @@ def tcp_twoway(policy: str = "selective-discard",
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
-_ATM_DEPS = ("repro.scenarios.atm",)
-_TCP_DEPS = ("repro.scenarios.tcp",)
-
-register_scenario("atm.staggered", atm_staggered, kind="atm",
-                  deps=_ATM_DEPS, param_deps=atm_param_deps)
-register_scenario("atm.rtt", atm_rtt, kind="atm",
-                  deps=_ATM_DEPS, param_deps=atm_param_deps)
-register_scenario("atm.onoff", atm_onoff, kind="atm",
-                  deps=_ATM_DEPS, param_deps=atm_param_deps)
-register_scenario("atm.parking", atm_parking, kind="atm",
-                  deps=_ATM_DEPS, param_deps=atm_param_deps)
-register_scenario("atm.transient", atm_transient, kind="atm",
-                  deps=_ATM_DEPS, param_deps=atm_param_deps)
-register_scenario("atm.background", atm_background, kind="atm",
-                  deps=("repro.atm", "repro.scenarios.results"),
-                  param_deps=atm_param_deps)
-register_scenario("atm.weighted", atm_weighted, kind="atm",
-                  deps=("repro.atm", "repro.scenarios.results"),
-                  param_deps=atm_param_deps)
-register_scenario("fuzz.generic", fuzz_generic, kind="atm",
+# the named configurations: one entry function per table row and tier
+for _name in NAMED:
+    register_scenario(f"atm.{_name}", globals()[f"atm_{_name}"], kind="atm",
+                      deps=("repro.scenarios.generic",),
+                      param_deps=atm_param_deps)
+register_scenario("fuzz.generic", atm_config, kind="atm",
                   deps=("repro.scenarios.generic",),
                   param_deps=fuzz_param_deps)
 
 _FLUID_DEPS = ("repro.fluid.scenarios",)
 
-register_scenario("fluid.staggered", fluid_staggered, kind="fluid",
-                  deps=_FLUID_DEPS)
-register_scenario("fluid.onoff", fluid_onoff, kind="fluid",
-                  deps=_FLUID_DEPS)
-register_scenario("fluid.parking", fluid_parking, kind="fluid",
-                  deps=_FLUID_DEPS)
-register_scenario("fluid.transient", fluid_transient, kind="fluid",
-                  deps=_FLUID_DEPS)
+for _name in FLUID:
+    register_scenario(f"fluid.{_name}", globals()[f"fluid_{_name}"],
+                      kind="fluid", deps=_FLUID_DEPS)
 register_scenario("fluid.many", fluid_many, kind="fluid",
                   deps=_FLUID_DEPS)
 register_scenario("fluid.hybrid_e01", fluid_hybrid_e01, kind="fluid",
                   deps=("repro.fluid.hybrid",))
+
+_TCP_DEPS = ("repro.scenarios.tcp",)
 
 register_scenario("tcp.rtt", tcp_rtt, kind="tcp",
                   deps=_TCP_DEPS, param_deps=tcp_param_deps)

@@ -8,8 +8,9 @@ carries.  A million flows step as fast as ten.
 
 Three entry surfaces:
 
-* :mod:`repro.fluid.scenarios` — twins of the packet scenario builders
-  (E01/E02/E05 shapes plus the million-flow scale scenario);
+* :mod:`repro.fluid.scenarios` — :func:`build_fluid`, which runs any
+  scenario config (the packet tier's input) as flow cohorts, plus the
+  million-flow scale scenario;
 * :mod:`repro.fluid.hybrid` — packet foreground coupled to a fluid
   background per trunk (imported lazily: it pulls in the event kernel);
 * :mod:`repro.fluid.validate` — the committed packet-vs-fluid accuracy
@@ -18,9 +19,9 @@ Three entry surfaces:
 
 from repro.fluid.model import FlowCohort, FluidNetwork, FluidTrunk
 from repro.fluid.results import FluidRun, HybridRun
-from repro.fluid.scenarios import (MANY_FLOW_PHANTOM, many_flows, on_off,
-                                   parking_lot, staggered_start,
-                                   transient)
+from repro.fluid.scenarios import (MANY_FLOW_PHANTOM, build_fluid,
+                                   many_flows, on_off, parking_lot,
+                                   staggered_start, transient)
 from repro.fluid.stepper import (CELL_BITS, FlowGroup, cells_to_mbps,
                                  rate_cells_per_interval)
 
@@ -33,6 +34,7 @@ __all__ = [
     "FluidRun",
     "FluidTrunk",
     "HybridRun",
+    "build_fluid",
     "cells_to_mbps",
     "many_flows",
     "on_off",

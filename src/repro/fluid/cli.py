@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    repro fluid run       run a fluid scenario twin (E01/E02/E05 shapes)
+    repro fluid run       run a named configuration as flow cohorts
     repro fluid many      the scale scenario: a million-flow trunk,
                           wall-clock vs simulated-time report
     repro fluid hybrid    packet foreground + fluid background; with
@@ -22,33 +22,19 @@ import os
 import time
 
 from repro.analysis import format_table
+from repro.cli import write_obs_artifacts
+from repro.configs import FLUID, NAMED, ONOFF_SEED
 from repro.fluid import scenarios
 from repro.fluid.hybrid import hybrid_staggered, packet_twin
 from repro.fluid.validate import failures, validation_rows
-
-SCENARIOS = {
-    "staggered": scenarios.staggered_start,
-    "onoff": scenarios.on_off,
-    "parking": scenarios.parking_lot,
-    "transient": scenarios.transient,
-}
-
-#: Registry-equivalent names (repro.exec.entries) so the manifest's
-#: HealthReport gates its oracle checks exactly like `repro suite`.
-HEALTH_SCENARIOS = {
-    "staggered": "fluid.staggered",
-    "onoff": "fluid.onoff",
-    "parking": "fluid.parking",
-    "transient": "fluid.transient",
-}
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Install the ``repro fluid`` subcommands on ``parser``."""
     sub = parser.add_subparsers(dest="fluid_command", required=True)
 
-    run = sub.add_parser("run", help="run a fluid scenario twin")
-    run.add_argument("--scenario", choices=sorted(SCENARIOS),
+    run = sub.add_parser("run", help="run a named configuration as cohorts")
+    run.add_argument("--scenario", choices=sorted(FLUID),
                      default="staggered")
     run.add_argument("--duration", type=float, default=None,
                      help="simulated horizon (default: scenario's own)")
@@ -103,23 +89,24 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = SCENARIOS[args.scenario]
-    kwargs = {"flows_per_session": args.flows_per_session}
+    kwargs = {}
     if args.duration is not None:
         kwargs["duration"] = args.duration
     if args.scenario == "staggered" and args.sessions is not None:
         kwargs["n_sessions"] = args.sessions
-    if args.scenario == "onoff" and args.seed is not None:
-        kwargs["seed"] = args.seed
+    # only the on/off configuration draws random numbers (see repro atm)
+    seed = args.seed if args.scenario == "onoff" else None
     tracer = None
     if args.trace:
         from repro.obs import Tracer
         tracer = Tracer()
-        kwargs["tracer"] = tracer
+    config = NAMED[args.scenario](**kwargs)
     # wall-clock read is the measurement itself (CLI layer, not
     # simulation code); the simulated outcome stays deterministic
     start = time.perf_counter()  # lint: disable=DET002
-    result = scenario(**kwargs)
+    result = scenarios.build_fluid(
+        config, flows_per_session=args.flows_per_session,
+        seed=ONOFF_SEED if seed is None else seed, tracer=tracer)
     wall_s = time.perf_counter() - start  # lint: disable=DET002
 
     rates = result.steady_rates()
@@ -137,33 +124,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "flows_per_session": args.flows_per_session}
     if args.sessions is not None:
         params["sessions"] = args.sessions
-    _write_obs_artifacts("fluid", params, result, tracer, wall_s,
-                         args.trace, args.manifest,
-                         seed=kwargs.get("seed"),
-                         health_scenario=HEALTH_SCENARIOS[args.scenario])
+    write_obs_artifacts("fluid", params, result, tracer, wall_s, args.trace,
+                        args.manifest, seed=seed,
+                        health_scenario=f"fluid.{args.scenario}")
     return 0
-
-
-def _write_obs_artifacts(command: str, params: dict, result, tracer,
-                         wall_s: float, trace_path: str,
-                         manifest_path: str, seed=None,
-                         health_scenario: str | None = None) -> None:
-    from repro import obs
-
-    if tracer is not None and trace_path:
-        obs.write_trace_jsonl(trace_path, tracer,
-                              meta={"command": command, **params})
-        print(f"\nwrote {trace_path} ({len(tracer.events)} events)")
-    if manifest_path:
-        registry = obs.registry_from_run(result)
-        health = obs.build_health(result, scenario=health_scenario,
-                                  params=params)
-        manifest = obs.build_manifest(
-            command=command, params=params, seed=seed,
-            metrics=registry.summary(), wall_s=wall_s,
-            trace_path=trace_path or None, health=health)
-        obs.write_manifest(manifest_path, manifest)
-        print(f"wrote {manifest_path} (health: {health['verdict']})")
 
 
 def _cmd_many(args: argparse.Namespace) -> int:

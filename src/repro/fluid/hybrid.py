@@ -34,7 +34,7 @@ from repro.core.phantom import PhantomAlgorithm
 from repro.fluid.model import FluidNetwork, FluidTrunk
 from repro.fluid.results import FluidRun, HybridRun
 from repro.fluid.stepper import cells_to_mbps, rate_cells_per_interval
-from repro.scenarios import atm as packet
+from repro.scenarios import generic as packet
 from repro.sim import PeriodicTimer
 
 

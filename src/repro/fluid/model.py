@@ -255,9 +255,12 @@ class FluidNetwork:
                    on_time: float | None = None,
                    off_time: float | None = None, rm_loss: float = 0.0,
                    feedback_delay: float | None = None,
-                   forward_delays: tuple[float, ...] | None = None
-                   ) -> FlowCohort:
-        """Add ``count`` identical flows on ``route`` as one cohort."""
+                   forward_delays: tuple[float, ...] | None = None,
+                   stream: str | None = None) -> FlowCohort:
+        """Add ``count`` identical flows on ``route`` as one cohort.
+
+        A bursty cohort draws its phases from the random stream named
+        ``stream`` (default: the cohort's name)."""
         if self._started:
             raise RuntimeError("network already started")
         if count < 1:
@@ -289,7 +292,7 @@ class FluidNetwork:
             # drawn from the cohort's named stream in the same order as
             # the packet OnOffDriver (one draw now, one per toggle)
             if self.seed is not None:
-                cohort._rng = self.rng.stream(name)
+                cohort._rng = self.rng.stream(stream or name)
             first = start + cohort._draw_duration()
             self.at(start, lambda: cohort.set_active(True))
             self.at(first, cohort._toggle)

@@ -1,7 +1,8 @@
 """Packet-vs-fluid validation: the fluid tier's accuracy contract.
 
-Every fluid scenario twin is run side by side with its packet original
-and compared metric by metric — steady per-session rates, Jain index,
+Each named configuration runs on both tiers from one scenario config
+(:mod:`repro.configs`) and the runs are compared metric by
+metric — steady per-session rates, Jain index,
 utilisation, queue bounds.  The tolerances below are *committed*: they
 were measured once (see docs/FLUID.md for the full table and the
 reasoning behind each band) and the suite fails when the models drift
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.atm import Link
+from repro.configs import onoff, parking, staggered, transient
 from repro.core import PhantomAlgorithm
 from repro.fluid import scenarios as fluid
-from repro.scenarios import atm as packet
+from repro.scenarios.generic import build_atm
 
 #: Committed accuracy bands, measured at the default configurations
 #: below (see docs/FLUID.md for the validation table).
@@ -113,12 +114,16 @@ def _common_rows(scenario: str, packet_run, fluid_run,
     return rows
 
 
+def _both(config: dict[str, Any], seed: int = 0):
+    """``(packet run, fluid run)`` of one config under Phantom."""
+    return (build_atm(config, algorithm_factory=PhantomAlgorithm, seed=seed),
+            fluid.build_fluid(config, seed=seed))
+
+
 def compare_staggered(n_sessions: int = 2,
                       duration: float = 0.25) -> list[dict[str, Any]]:
     """E01: n greedy sessions joining a 150 Mb/s bottleneck."""
-    p = packet.staggered_start(PhantomAlgorithm, n_sessions=n_sessions,
-                               duration=duration)
-    f = fluid.staggered_start(n_sessions=n_sessions, duration=duration)
+    p, f = _both(staggered(n_sessions=n_sessions, duration=duration))
     return _common_rows(f"e01_staggered_n{n_sessions}", p, f,
                         "greedy_rate_rel")
 
@@ -131,16 +136,14 @@ def compare_onoff(duration: float = 0.5,
     consume them differently (events vs rate toggles), so this compares
     time-average allocations across realisations — bursty band.
     """
-    p = packet.on_off(PhantomAlgorithm, duration=duration, seed=seed)
-    f = fluid.on_off(duration=duration, seed=seed)
+    p, f = _both(onoff(duration=duration), seed=seed)
     return _common_rows(f"e02_onoff_seed{seed}", p, f, "bursty_rate_rel")
 
 
 def compare_parking(hops: int = 3,
                     duration: float = 0.3) -> list[dict[str, Any]]:
     """E05: the multi-hop beat-down configuration."""
-    p = packet.parking_lot(PhantomAlgorithm, hops=hops, duration=duration)
-    f = fluid.parking_lot(hops=hops, duration=duration)
+    p, f = _both(parking(hops=hops, duration=duration))
     return _common_rows(f"e05_parking_{hops}hop", p, f,
                         "greedy_rate_rel",
                         utilization_sessions=("long", "cross0"))
@@ -149,8 +152,7 @@ def compare_parking(hops: int = 3,
 def compare_transient(duration: float = 0.4) -> list[dict[str, Any]]:
     """Join/leave transient: the survivor must reclaim the single-session
     share in both models."""
-    p = packet.transient(PhantomAlgorithm, duration=duration)
-    f = fluid.transient(duration=duration)
+    p, f = _both(transient(duration=duration))
     rows = []
     # steady window covers the post-departure reclaim only; the visitor
     # is silent there, so compare the base session's reclaimed rate
@@ -167,29 +169,16 @@ def compare_rm_loss(loss: float = 0.01,
                     duration: float = 0.4) -> list[dict[str, Any]]:
     """RM loss: both control loops must hold the same fixed point.
 
-    Packet side: each session's backward access link is replaced with a
-    lossy :class:`repro.atm.Link` (rewiring the switch's per-VC
-    dispatch cache alongside the route table, as the loss-injection
-    tests do).  Fluid side: the same loss fraction thins the per-Δt RM
-    mass, which stretches time constants but leaves the fixed point —
+    Packet side: each session's backward access link drops that fraction
+    of the cells.  Fluid side: the same loss fraction thins the per-Δt
+    RM mass, which stretches time constants but leaves the fixed point —
     the property under test.
     """
-    p = packet.staggered_start(PhantomAlgorithm, n_sessions=2,
-                               duration=duration, run=False)
-    net = p.net
-    switch = net.switches["S1"]
-    lossy_links = []
-    for vc, session in sorted(net.sessions.items()):
-        lossy = Link(net.sim, 150.0, 1e-5, session.source,
-                     loss_rate=loss, rng=net.rng.stream(f"rmloss.{vc}"))
-        switch._backward[session.vc] = lossy
-        switch._backward_recv[session.vc] = lossy.receive
-        lossy_links.append(lossy)
-    net.run(until=duration)
-    if not any(link.lost for link in lossy_links):
+    p, f = _both({**staggered(n_sessions=2, duration=duration),
+                  "rm_loss": loss})
+    switch = p.net.switches["S1"]
+    if not any(switch._backward[vc].lost for vc in p.net.sessions):
         raise RuntimeError("loss injection inactive: no cell was lost")
-    f = fluid.staggered_start(n_sessions=2, duration=duration,
-                              rm_loss=loss)
     return _common_rows(f"rm_loss_{loss:g}", p, f, "loss_rate_rel")
 
 

@@ -27,6 +27,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+# a config's ``(capacities, routes)``, derived once for both tiers' builders
+from repro.configs import topology as topology_of
+
 #: Relative tolerance for "these links advertise the same level" — the
 #: simultaneous-saturation set of one round.
 _LEVEL_RTOL = 1e-9
@@ -144,29 +147,6 @@ def fair_share(capacities: Mapping[str, float],
 # ----------------------------------------------------------------------
 # config-level wiring
 # ----------------------------------------------------------------------
-def topology_of(config: Mapping[str, Any]
-                ) -> tuple[dict[str, float], dict[str, list[str]]]:
-    """``(capacities, routes)`` a config's network would export.
-
-    Mirrors :meth:`repro.atm.network.AtmNetwork.capacities` /
-    ``routes()`` without building anything: trunks are bidirectional
-    port pairs named ``"A->B"``, a session's route is the ordered trunk
-    ports its switch list crosses.
-    """
-    link_rate = float(config.get("link_rate", 150.0))
-    capacities: dict[str, float] = {}
-    for trunk in config.get("trunks", ()):
-        rate = float(trunk.get("rate", link_rate))
-        capacities[f"{trunk['a']}->{trunk['b']}"] = rate
-        capacities[f"{trunk['b']}->{trunk['a']}"] = rate
-    routes = {
-        session["vc"]: [f"{a}->{b}" for a, b in
-                        zip(session["route"], session["route"][1:])]
-        for session in config.get("sessions", ())
-    }
-    return capacities, routes
-
-
 def oracle_for_config(config: Mapping[str, Any]) -> dict[str, float]:
     """The phantom-adjusted fair share a config's ABR sessions target.
 

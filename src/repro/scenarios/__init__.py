@@ -1,7 +1,7 @@
 """Declarative builders for every configuration in the paper's evaluation."""
 
-from repro.scenarios.atm import (on_off, parking_lot, rtt_spread,
-                                 staggered_start, transient)
+from repro.scenarios.generic import (on_off, parking_lot, rtt_spread,
+                                     staggered_start, transient)
 from repro.scenarios.results import AtmRun, TcpRun
 from repro.scenarios.tcp import (TCP_PHANTOM_PARAMS, TCP_RENO_PARAMS,
                                  drop_tail_policy, many_flows, mixed_stacks,

@@ -1,34 +1,11 @@
-"""Generic, config-driven ATM scenario construction.
+"""Packet-tier construction: every ATM scenario is built here.
 
-The hand-written builders in :mod:`repro.scenarios.atm` each hard-code
-one of the paper's configurations.  :func:`build_atm` instead reads a
-fully self-describing **scenario config** — a plain JSON-able mapping —
-and assembles any single-path topology the packet substrate supports:
-chains, parking lots, and asymmetric meshes with per-trunk rates and
-delays, greedy and on/off ABR sessions, CBR/VBR background streams, and
-RM-cell loss on the backward access links.
-
-This is the resolution target for :class:`repro.exec.spec.TaskSpec`'s
-inline ``config`` field: the fuzzer (:mod:`repro.fuzz`) emits configs,
-the registry entry ``fuzz.generic`` calls :func:`build_atm` inside the
-worker, and the config's canonical JSON is part of the task fingerprint,
-so generated runs cache exactly like hand-written ones.
-
-Config schema (all keys except ``switches``/``trunks``/``sessions``
-optional)::
-
-    {"switches": ["S1", "S2"],
-     "trunks": [{"a": "S1", "b": "S2", "rate": 150.0, "delay": 1e-5}],
-     "sessions": [{"vc": "s0", "route": ["S1", "S2"], "start": 0.0,
-                   "access_delay": 1e-5, "params": {"weight": 2.0},
-                   "onoff": {"on": 0.02, "off": 0.02}}],
-     "cbr": [{"vc": "bg0", "route": ["S1", "S2"], "rate": 40.0,
-              "start": 0.0, "stop": 0.2}],
-     "vbr": [{"vc": "vb0", "route": ["S1", "S2"], "peak": 40.0,
-              "mean_on": 0.01, "mean_off": 0.02}],
-     "algorithm": "phantom", "algorithm_params": {"interval": 1e-3},
-     "link_rate": 150.0, "rm_loss": 0.0, "duration": 0.25,
-     "bottleneck": ["S1", "S2"]}
+:func:`build_atm` reads a scenario config (schema in
+``docs/SCENARIOS.md``, named configurations in
+:mod:`repro.configs`) and assembles any single-path topology
+the packet substrate supports.  The ``fuzz.generic`` and named ``atm.*``
+registry entries and the public builders below (one statement each) all
+build through it.
 
 Randomness (on/off periods, VBR state durations, RM-loss coin flips) is
 drawn exclusively from per-name :class:`repro.sim.rng.RngStreams`
@@ -39,94 +16,30 @@ another's sample path (the property the shrinker relies on).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from dataclasses import asdict
+from typing import Any, Callable, Mapping
 
-from repro.atm import AbrParams, AtmNetwork
+from repro.atm import AbrParams, AtmNetwork, PAPER_PARAMS
 from repro.atm.link import Link
+from repro.atm.port import PortAlgorithm
+from repro.configs import (ONOFF_SEED, bottleneck, check_config, onoff,
+                           parking, rtt, staggered,
+                           transient as transient_config, validate_config)
 from repro.scenarios.results import AtmRun
 from repro.scenarios.workloads import OnOffDriver
 from repro.sim import RngStreams
 
+AlgorithmFactory = Callable[[], PortAlgorithm]
 
-def validate_config(config: Mapping[str, Any]) -> list[str]:
-    """Structural problems with a scenario config (empty = valid).
-
-    Deep semantic validation (capacities positive, routes connected) is
-    left to network construction, which raises with precise messages;
-    this check catches the shape errors that would otherwise surface as
-    confusing ``TypeError``s deep inside the builder.
-    """
-    problems: list[str] = []
-    if not isinstance(config, Mapping):
-        return ["config is not a mapping"]
-    for key in ("switches", "trunks", "sessions"):
-        value = config.get(key)
-        if not isinstance(value, (list, tuple)) or not value:
-            problems.append(f"{key!r} must be a non-empty list")
-    for i, trunk in enumerate(config.get("trunks") or []):
-        if not isinstance(trunk, Mapping) or "a" not in trunk \
-                or "b" not in trunk:
-            problems.append(f"trunks[{i}] needs 'a' and 'b' switch names")
-    # trunks are bidirectional port pairs, so adjacency is symmetric
-    adjacent: set[tuple[str, str]] = set()
-    for trunk in config.get("trunks") or []:
-        if isinstance(trunk, Mapping) and "a" in trunk and "b" in trunk:
-            adjacent.add((trunk["a"], trunk["b"]))
-            adjacent.add((trunk["b"], trunk["a"]))
-    for i, session in enumerate(config.get("sessions") or []):
-        if not isinstance(session, Mapping):
-            problems.append(f"sessions[{i}] is not a mapping")
-            continue
-        if not session.get("vc"):
-            problems.append(f"sessions[{i}] needs a 'vc' name")
-        route = session.get("route")
-        if not isinstance(route, (list, tuple)) or len(route) < 2:
-            problems.append(
-                f"sessions[{i}] route must list >= 2 switches")
-            continue
-        # routes name every hop; a missing intermediate switch would
-        # otherwise surface as a KeyError deep in network wiring
-        for a, b in zip(route, route[1:]):
-            if (a, b) not in adjacent:
-                problems.append(
-                    f"sessions[{i}] route hop {a}->{b} has no trunk")
-    duration = config.get("duration", 0.25)
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        problems.append(f"duration must be positive, got {duration!r}")
-    rm_loss = config.get("rm_loss", 0.0)
-    if not isinstance(rm_loss, (int, float)) or not 0.0 <= rm_loss < 1.0:
-        problems.append(f"rm_loss must be in [0, 1), got {rm_loss!r}")
-    return problems
-
-
-def _session_params(overrides: Mapping[str, Any] | None) -> AbrParams:
-    return AbrParams(**dict(overrides or {}))
-
-
-def _bottleneck_trunk(net: AtmNetwork, config: Mapping[str, Any]):
-    """The port whose queue/MACR series the run handle reports.
-
-    ``bottleneck: [a, b]`` picks one explicitly; the default is the
-    trunk crossed by the most sessions (ties broken by name, so the
-    choice is deterministic)."""
-    chosen = config.get("bottleneck")
-    if chosen:
-        return net.trunk(chosen[0], chosen[1])
-    crossings: dict[str, int] = {name: 0 for name in net.capacities()}
-    for path in net.routes().values():
-        for link in path:
-            crossings[link] += 1
-    busiest = max(sorted(crossings), key=lambda name: crossings[name])
-    a, b = busiest.split("->")
-    return net.trunk(a, b)
+__all__ = ["build_atm", "validate_config", "staggered_start", "rtt_spread",
+           "on_off", "parking_lot", "transient"]
 
 
 def _inject_rm_loss(net: AtmNetwork, rm_loss: float,
                     streams: RngStreams) -> None:
     """Replace each session's backward access link with a lossy twin.
 
-    Same rewiring the RM-loss tests and ``repro.fluid.validate`` use:
-    the switch's per-VC dispatch cache must move with the route table or
+    The switch's per-VC dispatch cache must move with the route table or
     the lossless original keeps receiving the cells.
     """
     for vc, session in net.sessions.items():
@@ -139,7 +52,8 @@ def _inject_rm_loss(net: AtmNetwork, rm_loss: float,
         first_switch._backward_recv[vc] = lossy.receive
 
 
-def build_atm(config: Mapping[str, Any], *, algorithm_factory,
+def build_atm(config: Mapping[str, Any], *,
+              algorithm_factory: AlgorithmFactory,
               seed: int | None = 0, tracer=None,
               run: bool = True) -> AtmRun:
     """Build (and by default run) the ATM network a config describes.
@@ -148,15 +62,14 @@ def build_atm(config: Mapping[str, Any], *, algorithm_factory,
     a required argument — deliberately NOT resolved here from the
     config's ``algorithm``/``algorithm_params`` keys, because importing
     the algorithm tables would drag every algorithm module into this
-    module's import closure and so into every generated task's
-    fingerprint.  The ``fuzz.generic`` registry entry
-    (:func:`repro.exec.entries.fuzz_generic`) does the resolution, and
-    its ``param_deps`` hook keeps cache sensitivity scoped to the
-    *chosen* algorithm's module, exactly like the hand-written entries.
+    module's import closure and so into every task's fingerprint.  The
+    registry entries (:mod:`repro.exec.entries`) do the resolution, and
+    their ``param_deps`` hooks keep cache sensitivity scoped to the
+    *chosen* algorithm's module.
+
+    ``seed=None`` gives on/off sessions fixed periods at their means.
     """
-    problems = validate_config(config)
-    if problems:
-        raise ValueError("invalid scenario config: " + "; ".join(problems))
+    check_config(config)
     root_seed = seed if seed is not None else 0
     net = AtmNetwork(algorithm_factory=algorithm_factory,
                      link_rate=float(config.get("link_rate", 150.0)),
@@ -174,15 +87,21 @@ def build_atm(config: Mapping[str, Any], *, algorithm_factory,
         session = net.add_session(
             vc, route=list(entry["route"]),
             start=float(entry.get("start", 0.0)),
-            params=_session_params(entry.get("params")),
+            params=AbrParams(**dict(entry.get("params") or {})),
             access_delay=entry.get("access_delay"))
-        onoff = entry.get("onoff")
-        if onoff:
+        # scheduled right after the session joins, so its heap
+        # tie-break order is fixed by the config's session order
+        if "stop" in entry:
+            net.sim.schedule_at(float(entry["stop"]),
+                                session.source.set_active, False)
+        phases = entry.get("onoff")
+        if phases:
+            rng = (streams.stream(phases.get("stream", f"onoff.{vc}"))
+                   if seed is not None else None)
             # the driver stays alive through its scheduled toggle events
-            OnOffDriver(
-                net.sim, session.source,
-                on_time=float(onoff["on"]), off_time=float(onoff["off"]),
-                rng=streams.stream(f"onoff.{vc}"))
+            OnOffDriver(net.sim, session.source,
+                        on_time=float(phases["on"]),
+                        off_time=float(phases["off"]), rng=rng)
     for entry in config.get("cbr") or []:
         net.add_cbr(entry["vc"], route=list(entry["route"]),
                     rate_mbps=float(entry["rate"]),
@@ -201,8 +120,71 @@ def build_atm(config: Mapping[str, Any], *, algorithm_factory,
         _inject_rm_loss(net, rm_loss, streams)
 
     duration = float(config.get("duration", 0.25))
-    result = AtmRun(net=net, bottleneck=_bottleneck_trunk(net, config),
-                    duration=duration)
+    a, b = bottleneck(config).split("->")
+    result = AtmRun(net=net, bottleneck=net.trunk(a, b), duration=duration)
     if run:
         net.run(until=duration)
     return result
+
+
+# ----------------------------------------------------------------------
+# the paper's configurations with an explicit algorithm factory
+# ----------------------------------------------------------------------
+def staggered_start(algorithm_factory: AlgorithmFactory, n_sessions: int = 2,
+                    stagger: float = 0.03, duration: float = 0.25,
+                    link_rate: float = 150.0,
+                    params: AbrParams = PAPER_PARAMS, tracer=None,
+                    run: bool = True) -> AtmRun:
+    """Packet run of :func:`repro.configs.staggered`."""
+    return build_atm(staggered(n_sessions, stagger, duration, link_rate,
+                               session_params=asdict(params)),
+                     algorithm_factory=algorithm_factory, tracer=tracer,
+                     run=run)
+
+
+def rtt_spread(algorithm_factory: AlgorithmFactory,
+               access_delays: tuple[float, ...] = (1e-5, 5e-4, 2e-3),
+               duration: float = 0.3, link_rate: float = 150.0,
+               params: AbrParams = PAPER_PARAMS, tracer=None,
+               run: bool = True) -> AtmRun:
+    """Packet run of :func:`repro.configs.rtt`."""
+    return build_atm(rtt(access_delays, duration, link_rate,
+                         session_params=asdict(params)),
+                     algorithm_factory=algorithm_factory, tracer=tracer,
+                     run=run)
+
+
+def on_off(algorithm_factory: AlgorithmFactory, greedy: int = 1,
+           bursty: int = 2, on_time: float = 0.02, off_time: float = 0.02,
+           duration: float = 0.4, link_rate: float = 150.0,
+           params: AbrParams = PAPER_PARAMS,
+           seed: int | None = ONOFF_SEED, tracer=None,
+           run: bool = True) -> AtmRun:
+    """Packet run of :func:`repro.configs.onoff`; ``seed=None``
+    gives fixed periods, otherwise they are exponential."""
+    return build_atm(onoff(greedy, bursty, on_time, off_time, duration,
+                           link_rate, session_params=asdict(params)),
+                     algorithm_factory=algorithm_factory, seed=seed,
+                     tracer=tracer, run=run)
+
+
+def parking_lot(algorithm_factory: AlgorithmFactory, hops: int = 3,
+                duration: float = 0.3, link_rate: float = 150.0,
+                params: AbrParams = PAPER_PARAMS, tracer=None,
+                run: bool = True) -> AtmRun:
+    """Packet run of :func:`repro.configs.parking`."""
+    return build_atm(parking(hops, duration, link_rate,
+                             session_params=asdict(params)),
+                     algorithm_factory=algorithm_factory, tracer=tracer,
+                     run=run)
+
+
+def transient(algorithm_factory: AlgorithmFactory, duration: float = 0.4,
+              join_at: float = 0.1, leave_at: float = 0.25,
+              link_rate: float = 150.0, params: AbrParams = PAPER_PARAMS,
+              tracer=None, run: bool = True) -> AtmRun:
+    """Packet run of :func:`repro.configs.transient`."""
+    return build_atm(transient_config(duration, join_at, leave_at, link_rate,
+                                      session_params=asdict(params)),
+                     algorithm_factory=algorithm_factory, tracer=tracer,
+                     run=run)

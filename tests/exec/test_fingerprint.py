@@ -164,12 +164,22 @@ def test_fingerprint_tracks_spec_changes(copied_tree):
 
 def test_scenario_edit_invalidates_only_that_kind(copied_tree):
     before = _fingerprints(copied_tree)
-    with (copied_tree / "scenarios" / "atm.py").open("a") as fh:
+    with (copied_tree / "scenarios" / "generic.py").open("a") as fh:
         fh.write("\n# touched by the invalidation test\n")
     after = _fingerprints(copied_tree)
     assert after["atm"] != before["atm"]
-    assert after["capc"] != before["capc"]  # capc task builds on atm too
+    assert after["capc"] != before["capc"]  # capc task builds there too
     assert after["tcp"] == before["tcp"]    # TCP entries untouched
+    assert after["fluid"] == before["fluid"]
+
+    with (copied_tree / "scenarios" / "tcp.py").open("a") as fh:
+        fh.write("\n# touched by the invalidation test\n")
+    again = _fingerprints(copied_tree)
+    assert again["tcp"] != after["tcp"]
+    assert again["atm"] == after["atm"]
+    # the fluid builders import the config table module by its full
+    # name, so the scenarios package (and its TCP stack) stays out
+    assert again["fluid"] == after["fluid"]
 
 
 def test_algorithm_edit_invalidates_only_tasks_that_chose_it(copied_tree):
@@ -250,12 +260,19 @@ def test_config_algorithm_choice_scopes_the_closure(copied_tree):
                             index=index) == before_phantom
 
 
-def test_generic_builder_edit_spares_named_scenarios(copied_tree):
-    index = SourceIndex(root=copied_tree)
-    before_fuzz = task_fingerprint(_fuzz_spec(), index=index)
-    before_atm = task_fingerprint(ATM, index=index)
-    with (copied_tree / "scenarios" / "generic.py").open("a") as fh:
-        fh.write("\n# touched by the fuzz invalidation test\n")
-    index = SourceIndex(root=copied_tree)
-    assert task_fingerprint(_fuzz_spec(), index=index) != before_fuzz
-    assert task_fingerprint(ATM, index=index) == before_atm
+def test_config_table_edit_invalidates_both_tiers_not_tcp(copied_tree):
+    # named ATM tasks, fluid tasks and generated configs all build from
+    # one scenario description, so the config module is in every
+    # closure except the TCP one
+    before = _fingerprints(copied_tree)
+    before_fuzz = task_fingerprint(_fuzz_spec(),
+                                   index=SourceIndex(root=copied_tree))
+    with (copied_tree / "configs.py").open("a") as fh:
+        fh.write("\n# touched by the invalidation test\n")
+    after = _fingerprints(copied_tree)
+    assert task_fingerprint(_fuzz_spec(),
+                            index=SourceIndex(root=copied_tree)) \
+        != before_fuzz
+    for name in ("atm", "capc", "fluid", "hybrid"):
+        assert after[name] != before[name], name
+    assert after["tcp"] == before["tcp"]

@@ -14,7 +14,7 @@ from repro.perf.golden import probe_digest, run_parts
 # coupling contract
 # ----------------------------------------------------------------------
 def test_couple_rejects_algorithms_without_demand_hook():
-    from repro.scenarios import atm as packet
+    from repro import scenarios as packet
 
     atm_run = packet.staggered_start(EricaAlgorithm, n_sessions=1,
                                      duration=0.05, run=False)
@@ -28,7 +28,7 @@ def test_couple_rejects_algorithms_without_demand_hook():
 def test_start_rejects_interval_mismatch():
     from repro.core import PhantomAlgorithm
     from repro.core.params import PhantomParams
-    from repro.scenarios import atm as packet
+    from repro import scenarios as packet
 
     atm_run = packet.staggered_start(PhantomAlgorithm, n_sessions=1,
                                      duration=0.05, run=False)

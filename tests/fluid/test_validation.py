@@ -68,7 +68,7 @@ def test_diverging_session_names_are_an_error():
     """Guards the name-for-name pairing the whole suite rests on."""
     from repro.core import PhantomAlgorithm
     from repro.fluid import scenarios as fluid
-    from repro.scenarios import atm as packet
+    from repro import scenarios as packet
 
     p = packet.staggered_start(PhantomAlgorithm, n_sessions=2,
                                duration=0.05)

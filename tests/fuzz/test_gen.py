@@ -7,7 +7,8 @@ import pytest
 from repro.exec.spec import derive_seed
 from repro.fuzz.gen import (SCENARIO, generate_batch, generate_config,
                             session_probes)
-from repro.scenarios.generic import validate_config
+from repro.core import PhantomAlgorithm
+from repro.scenarios.generic import build_atm, validate_config
 
 
 def test_same_seed_same_batch():
@@ -44,6 +45,63 @@ def test_every_generated_config_validates():
     # may be rejected at build time
     for spec in generate_batch(0, 40):
         assert validate_config(spec.config) == [], spec.task_id
+
+
+def _dumbbell(**extra):
+    config = {"switches": ["S1", "S2", "S3"],
+              "trunks": [{"a": "S1", "b": "S2"}, {"a": "S2", "b": "S3"}],
+              "sessions": [{"vc": "s0", "route": ["S1", "S2"]}],
+              "duration": 0.01}
+    config.update(extra)
+    return config
+
+
+#: configs that once passed validation and then failed deep inside the
+#: build with a KeyError (or only from add_session), with the message
+#: the validator now gives instead
+BROKEN_CONFIGS = {
+    "trunk to an unknown switch": (
+        _dumbbell(trunks=[{"a": "S1", "b": "S9"}]),
+        "trunks[0] names unknown switch(es) 'S9'"),
+    "cbr hop with no trunk": (
+        _dumbbell(cbr=[{"vc": "bg", "route": ["S1", "S3"], "rate": 10.0}]),
+        "cbr[0] route hop S1->S3 has no trunk"),
+    "onoff without off": (
+        _dumbbell(sessions=[{"vc": "s0", "route": ["S1", "S2"],
+                             "onoff": {"on": 0.01}}]),
+        "sessions[0] onoff needs positive 'on' and 'off' periods"),
+    "bottleneck naming no trunk": (
+        _dumbbell(bottleneck=["S1", "S3"]),
+        "bottleneck ['S1', 'S3'] names no trunk"),
+    "duplicate vc": (
+        _dumbbell(vbr=[{"vc": "s0", "route": ["S2", "S3"], "peak": 10.0,
+                        "mean_on": 0.01, "mean_off": 0.01}]),
+        "duplicate vc name(s) s0"),
+    "stop before start": (
+        _dumbbell(sessions=[{"vc": "s0", "route": ["S1", "S2"],
+                             "start": 0.005, "stop": 0.001}]),
+        "sessions[0] stop must be a time after its start"),
+    "switch names that are not strings": (
+        _dumbbell(switches=[1, 2, 3],
+                  trunks=[{"a": "1", "b": "2"}, {"a": "2", "b": "3"}],
+                  sessions=[{"vc": "s0", "route": ["1", "2"]}]),
+        "switch name 1 is not a string"),
+    "vc that is not a string": (
+        _dumbbell(sessions=[{"vc": 0, "route": ["S1", "S2"]}]),
+        "sessions[0] vc must be a string"),
+    "sessions that are not a list": (
+        _dumbbell(sessions={"vc": "s0", "route": ["S1", "S2"]}),
+        "'sessions' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CONFIGS))
+def test_broken_configs_are_rejected_before_the_build(case):
+    config, message = BROKEN_CONFIGS[case]
+    assert any(problem.startswith(message)
+               for problem in validate_config(config)), case
+    with pytest.raises(ValueError, match="invalid scenario config: "):
+        build_atm(config, algorithm_factory=PhantomAlgorithm)
 
 
 def test_probes_cover_every_session():
