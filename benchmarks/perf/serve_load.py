@@ -13,7 +13,7 @@ collect it. Run directly::
 
     PYTHONPATH=src python benchmarks/perf/serve_load.py --write
 
-``--write`` records the summary under the ``serve`` key of
+``--write`` merges the summary under the ``serve`` key of
 ``BENCH_perf.json``; without it the summary is just printed.
 """
 
@@ -30,6 +30,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.perf import record_bench
 from repro.serve.client import RateLimited, ServeClient, ServeError
 from repro.serve.server import ServeApp, ServeConfig
 
@@ -177,10 +178,7 @@ def main() -> int:
 
     if args.write:
         path = REPO_ROOT / "BENCH_perf.json"
-        report = json.loads(path.read_text())
-        report["serve"] = serve
-        path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                        + "\n")
+        record_bench(str(path), "serve", serve)
         print(f"wrote serve summary to {path}")
     return 0
 

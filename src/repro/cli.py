@@ -23,14 +23,21 @@ from repro.baselines import (AprcAlgorithm, CapcAlgorithm, EprcaAlgorithm,
 from repro.configs import NAMED, ONOFF_SEED, PAPER
 from repro.core import (BinaryPhantomAlgorithm, PhantomAlgorithm,
                         max_min_allocation)
+from repro.exec import cli as exec_cli
+from repro.exec.registry import all_scenarios
+from repro.exec.spec import parse_assignments
+from repro.fluid import cli as fluid_cli
+from repro.fuzz import cli as fuzz_cli
 from repro.lint import cli as lint_cli
 from repro.obs import cli as obs_cli
+from repro.obs.cli import write_obs_artifacts
 from repro.scenarios import (drop_tail_policy, many_flows, mixed_stacks,
                              rtt_fairness, selective_discard_policy,
                              selective_efci_policy, selective_quench_policy,
                              selective_red_policy, tcp_parking_lot,
                              vegas_thresholds)
 from repro.scenarios.generic import build_atm
+from repro.serve import cli as serve_cli
 
 ATM_ALGORITHMS = {
     "phantom": PhantomAlgorithm,
@@ -64,9 +71,6 @@ TCP_SCENARIOS = {
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    # imported here so the exec entry points only load when listed
-    from repro.exec.registry import all_scenarios
-
     print("ATM scenarios :", ", ".join(sorted(ATM_SCENARIOS)))
     print("ATM algorithms:", ", ".join(sorted(ATM_ALGORITHMS)))
     print("TCP scenarios :", ", ".join(sorted(TCP_SCENARIOS)))
@@ -86,32 +90,6 @@ HEALTH_SCENARIOS = {
             "many": "tcp.many", "vegas": "tcp.vegas",
             "mixed": "tcp.mixed"},
 }
-
-
-def write_obs_artifacts(command: str, params: dict, run, tracer,
-                        wall_s: float, trace_path: str,
-                        manifest_path: str, seed=None,
-                        health_scenario: str | None = None) -> None:
-    """Write the run's trace (when recorded) and manifest (unless
-    disabled with ``--manifest ''``), with the run's HealthReport
-    folded into the manifest.  Shared by ``repro atm/tcp`` and ``repro
-    fluid run``."""
-    from repro import obs
-
-    if tracer is not None and trace_path:
-        obs.write_trace_jsonl(trace_path, tracer,
-                              meta={"command": command, **params})
-        print(f"\nwrote {trace_path} ({len(tracer.events)} events)")
-    if manifest_path:
-        registry = obs.registry_from_run(run)
-        health = obs.build_health(run, scenario=health_scenario,
-                                  params=params)
-        manifest = obs.build_manifest(
-            command=command, params=params, seed=seed,
-            metrics=registry.summary(), wall_s=wall_s,
-            trace_path=trace_path or None, health=health)
-        obs.write_manifest(manifest_path, manifest)
-        print(f"wrote {manifest_path} (health: {health['verdict']})")
 
 
 def _cmd_atm(args: argparse.Namespace) -> int:
@@ -196,21 +174,12 @@ def _cmd_tcp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pairs(pairs: Sequence[str], what: str) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
-        name, _, value = pair.partition("=")
-        if not name or not value:
-            raise SystemExit(f"bad {what} spec {pair!r}; expected name=value")
-        out[name] = value
-    return out
-
-
 def _cmd_maxmin(args: argparse.Namespace) -> int:
-    capacities = {name: float(value) for name, value in
-                  _parse_pairs(args.link, "link").items()}
-    routes = {name: value.split(",") for name, value in
-              _parse_pairs(args.session, "session").items()}
+    capacities = parse_assignments(args.link, "--link", convert=float,
+                                   nest=False)
+    routes = parse_assignments(args.session, "--session",
+                               convert=lambda links: links.split(","),
+                               nest=False)
     weight = 1.0 / args.factor if args.factor else 0.0
     rates = max_min_allocation(capacities, routes, phantom_weight=weight)
     label = (f"phantom max-min (f={args.factor})" if args.factor
@@ -220,12 +189,7 @@ def _cmd_maxmin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    return lint_cli.run_from_args(args)
-
-
 def _cmd_perf(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the perf suite
     from repro import perf
 
     report = perf.run_suite(args.workload or None, scale=args.scale,
@@ -279,7 +243,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(f"\nrecorded {len(entry['workloads'])} workload(s) in "
               f"{args.history}")
     if args.output:
-        perf.write_report(args.output, report)
+        perf.record_bench(args.output, "workloads", report["workloads"],
+                          stamp={"python": report["python"],
+                                 "machine": report["machine"]})
         print(f"\nwrote {args.output}")
         # companion run manifest, so every benchmark number carries its
         # provenance (parameters, git rev, platform)
@@ -298,44 +264,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         obs.write_manifest(manifest_path, manifest)
         print(f"wrote {manifest_path}")
     return status
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    return obs_cli.run(args)
-
-
-def _cmd_fluid(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the fluid tier
-    from repro.fluid import cli as fluid_cli
-
-    return fluid_cli.run(args)
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the executor
-    from repro.exec import cli as exec_cli
-
-    return exec_cli.run_suite_command(args)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.exec import cli as exec_cli
-
-    return exec_cli.run_sweep_command(args)
-
-
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the fuzzer
-    from repro.fuzz import cli as fuzz_cli
-
-    return fuzz_cli.run_command(args)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # imported here so `repro list/atm/...` never pays for the gateway
-    from repro.serve import cli as serve_cli
-
-    return serve_cli.run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="statically check determinism, unit-safety, and "
                      "sim-API invariants (see docs/LINTING.md)")
     lint_cli.add_arguments(lint)
-    lint.set_defaults(fn=_cmd_lint)
+    lint.set_defaults(fn=lint_cli.run_from_args)
 
     perf = sub.add_parser(
         "perf", help="measure hot-path throughput and refresh "
@@ -425,48 +353,40 @@ def build_parser() -> argparse.ArgumentParser:
         "obs", help="record, inspect, convert, and diff traces and run "
                     "manifests (see docs/OBSERVABILITY.md)")
     obs_cli.add_arguments(obs)
-    obs.set_defaults(fn=_cmd_obs)
-
-    from repro.fluid import cli as fluid_cli
+    obs.set_defaults(fn=obs_cli.run)
 
     fluid = sub.add_parser(
         "fluid", help="run, validate, and benchmark the fluid/hybrid "
                       "simulation tier (see docs/FLUID.md)")
     fluid_cli.add_arguments(fluid)
-    fluid.set_defaults(fn=_cmd_fluid)
-
-    from repro.exec import cli as exec_cli
+    fluid.set_defaults(fn=fluid_cli.run)
 
     suite = sub.add_parser(
         "suite", help="run the experiment suite (E01-E26) across worker "
                       "processes with result caching (see "
                       "docs/EXECUTION.md)")
     exec_cli.add_suite_arguments(suite)
-    suite.set_defaults(fn=_cmd_suite)
+    suite.set_defaults(fn=exec_cli.run_suite_command)
 
     sweep = sub.add_parser(
         "sweep", help="run a declarative parameter grid for one "
                       "scenario (see docs/EXECUTION.md)")
     exec_cli.add_sweep_arguments(sweep)
-    sweep.set_defaults(fn=_cmd_sweep)
-
-    from repro.fuzz import cli as fuzz_cli
+    sweep.set_defaults(fn=exec_cli.run_sweep_command)
 
     fuzz = sub.add_parser(
         "fuzz", help="generate, judge, shrink, and replay seeded "
                      "scenarios against the fair-share oracle (see "
                      "docs/FUZZING.md)")
     fuzz_cli.add_arguments(fuzz)
-    fuzz.set_defaults(fn=_cmd_fuzz)
-
-    from repro.serve import cli as serve_cli
+    fuzz.set_defaults(fn=fuzz_cli.run_command)
 
     serve = sub.add_parser(
         "serve", help="run the simulation-as-a-service gateway with "
                       "Phantom-MACR admission control (see "
                       "docs/SERVING.md)")
     serve_cli.add_arguments(serve)
-    serve.set_defaults(fn=_cmd_serve)
+    serve.set_defaults(fn=serve_cli.run)
     return parser
 
 

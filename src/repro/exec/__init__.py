@@ -11,6 +11,9 @@ script into a schedulable batch:
 * :mod:`repro.exec.fingerprint` / :mod:`repro.exec.cache` — spec+source
   fingerprints addressing an on-disk result cache;
 * :mod:`repro.exec.suite` — E01–E26 and parameter sweeps as specs;
+* :mod:`repro.exec.campaign` — the batch flow (run, report, manifest,
+  bench row) shared by ``repro suite``, ``repro sweep`` and
+  ``repro fuzz run``;
 * :mod:`repro.exec.cli` — the ``repro suite`` / ``repro sweep``
   commands.
 

@@ -2,50 +2,23 @@
 
 ``suite`` fans the experiment index (E01–E26) across worker processes
 and writes one merged run manifest; ``sweep`` expands a declarative
-parameter grid for a single scenario.  Both share the executor flags
-(``-j``, ``--cache-dir``/``--no-cache``, ``--timeout``, ``--retries``)
-and both exit non-zero when any task fails.
+parameter grid for a single scenario.  Both run through
+:mod:`repro.exec.campaign`, share its executor flags (``-j``,
+``--cache-dir``/``--no-cache``, ``--timeout``, ``--retries``) and
+exit non-zero when any task fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import time
 from typing import Any, Sequence
 
 from repro.analysis import format_table
-from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.exec.pool import ExecResult, default_jobs, run_tasks
+from repro.exec import campaign
+from repro.exec.pool import ExecResult
 from repro.exec.registry import all_scenarios
+from repro.exec.spec import parse_assignments, parse_value
 from repro.exec.suite import experiment_ids, suite_specs, sweep_specs
-
-#: Schema stamped into ``--output`` reports.
-REPORT_SCHEMA = "repro.exec.report"
-REPORT_VERSION = 1
-
-
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-j", "--jobs", type=int, default=None,
-                        help="worker processes (default: min(4, cores); "
-                             "1 = serial in-process)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for per-task seed derivation "
-                             "(default 0)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="content-addressed result cache directory "
-                             f"(default {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always re-simulate; do not read or write "
-                             "the cache")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-task wall budget in seconds "
-                             "(default: none)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="re-attempts per failed task (default 1)")
-    parser.add_argument("--output", default="",
-                        help="write the JSON task report to this path")
 
 
 def add_suite_arguments(parser: argparse.ArgumentParser) -> None:
@@ -68,7 +41,7 @@ def add_suite_arguments(parser: argparse.ArgumentParser) -> None:
                              "(conservation, queue bounds, ε-band "
                              "convergence) and exit non-zero on any "
                              "violated verdict")
-    _add_executor_arguments(parser)
+    campaign.add_executor_arguments(parser)
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -89,157 +62,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="NAME",
                         help="probe series to return per task "
                              "(repeatable)")
-    _add_executor_arguments(parser)
-
-
-def _parse_value(text: str) -> Any:
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
-def _parse_axes(pairs: Sequence[str]) -> dict[str, list[Any]]:
-    axes: dict[str, list[Any]] = {}
-    for pair in pairs:
-        key, sep, values = pair.partition("=")
-        if not key or not sep or not values:
-            raise SystemExit(
-                f"bad --param {pair!r}; expected KEY=V1,V2,...")
-        axes[key] = [_parse_value(v) for v in values.split(",")]
-    return axes
-
-
-def _parse_fixed(pairs: Sequence[str]) -> dict[str, Any]:
-    fixed: dict[str, Any] = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not key or not sep:
-            raise SystemExit(f"bad --set {pair!r}; expected KEY=VALUE")
-        fixed[key] = _parse_value(value)
-    return fixed
-
-
-def _cache(args: argparse.Namespace) -> ResultCache | None:
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache_dir)
-
-
-def _result_row(result: ExecResult) -> list[Any]:
-    source = "cache" if result.cached else f"run x{result.attempts}"
-    note = ""
-    if not result.ok and result.error:
-        note = result.error.strip().splitlines()[-1][:60]
-    return [result.spec.task_id, result.spec.scenario, result.status,
-            source, f"{result.wall_s:.2f}", note]
-
-
-def _print_results(results: Sequence[ExecResult]) -> None:
-    print(format_table(
-        ["task", "scenario", "status", "source", "wall s", ""],
-        [_result_row(r) for r in results]))
-
-
-def _report(results: Sequence[ExecResult], *,
-            command: str, wall_s: float, jobs: int,
-            cache: ResultCache | None,
-            extra: dict[str, Any]) -> dict[str, Any]:
-    tasks = []
-    for result in results:
-        row: dict[str, Any] = {
-            "task_id": result.spec.task_id,
-            "scenario": result.spec.scenario,
-            "params": dict(result.spec.params),
-            "seed": result.spec.seed,
-            "status": result.status,
-            "cached": result.cached,
-            "attempts": result.attempts,
-            "wall_s": result.wall_s,
-            "fingerprint": result.fingerprint,
-        }
-        if result.ok:
-            row["metrics"] = result.payload["metrics"]
-            row["probe_digests"] = result.payload["probe_digests"]
-            if result.payload.get("series"):
-                row["series"] = result.payload["series"]
-        else:
-            row["error"] = result.error
-        tasks.append(row)
-    return {
-        "schema": REPORT_SCHEMA,
-        "version": REPORT_VERSION,
-        "command": command,
-        "jobs": jobs,
-        "wall_s": round(wall_s, 4),
-        "cache": cache.stats() if cache is not None else None,
-        "tasks": tasks,
-        **extra,
-    }
-
-
-def _write_report(path: str, report: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}")
-
-
-def _summarise(results: Sequence[ExecResult], wall_s: float,
-               cache: ResultCache | None) -> None:
-    done = sum(1 for r in results if r.ok)
-    cached = sum(1 for r in results if r.cached)
-    failed = [r for r in results if not r.ok]
-    line = (f"\n{done}/{len(results)} ok ({cached} from cache) "
-            f"in {wall_s:.2f}s wall")
-    if cache is not None:
-        stats = cache.stats()
-        line += f"; cache hits {stats['hits']}, misses {stats['misses']}"
-    print(line)
-    for result in failed:
-        last = (result.error or "").strip().splitlines()
-        print(f"  FAILED {result.spec.task_id} ({result.status}): "
-              f"{last[-1] if last else 'no detail'}")
-
-
-def _merged_manifest(path: str, results: Sequence[ExecResult],
-                     params: dict[str, Any], seed: int, jobs: int,
-                     wall_s: float, cache: ResultCache | None,
-                     health: dict[str, Any] | None = None) -> None:
-    from repro import obs
-
-    metrics: dict[str, float] = {}
-    for result in results:
-        if result.ok:
-            for key, value in sorted(result.payload["metrics"].items()):
-                metrics[f"{result.spec.task_id}.{key}"] = value
-    tasks = []
-    for r in results:
-        row = {"task_id": r.spec.task_id, "scenario": r.spec.scenario,
-               "status": r.status, "fingerprint": r.fingerprint}
-        if r.ok and r.payload.get("health"):
-            row["health"] = r.payload["health"]["verdict"]
-        tasks.append(row)
-    execution = {
-        "jobs": jobs,
-        "cached": sum(1 for r in results if r.cached),
-        "cache": cache.stats() if cache is not None else None,
-    }
-    manifest = obs.build_manifest(
-        command="suite", params=params, seed=seed, metrics=metrics,
-        wall_s=wall_s, tasks=tasks, execution=execution, health=health)
-    obs.write_manifest(path, manifest)
-    print(f"wrote {path}")
-
-
-def _suite_health(results: Sequence[ExecResult]
-                  ) -> dict[str, Any] | None:
-    """Aggregate the per-task HealthReports carried in ok payloads."""
-    from repro.obs.health import merge_health
-
-    reports = {r.spec.task_id: r.payload["health"]
-               for r in results if r.ok and r.payload.get("health")}
-    return merge_health(reports) if reports else None
+    campaign.add_executor_arguments(parser)
 
 
 def _print_health(merged: dict[str, Any]) -> None:
@@ -262,29 +85,16 @@ def run_suite_command(args: argparse.Namespace) -> int:
                             experiments=experiments)
     except ValueError as exc:
         raise SystemExit(f"repro suite: {exc}") from exc
-    cache = _cache(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    # wall-clock read is the measurement itself (CLI layer); simulated
-    # outcomes stay deterministic
-    start = time.perf_counter()  # lint: disable=DET002
-    results = run_tasks(specs, jobs=jobs, cache=cache,
-                        timeout=args.timeout, retries=args.retries)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
+    run = campaign.run("suite", specs, args)
+    run.print_results()
+    run.summarise()
 
-    _print_results(results)
-    _summarise(results, wall_s, cache)
-
-    status = 0 if all(r.ok for r in results) else 1
-    uncached = [r.spec.task_id for r in results if not r.cached]
-    if args.assert_cached and uncached:
-        print(f"\n--assert-cached: {len(uncached)} task(s) were "
-              f"re-simulated: {', '.join(uncached[:8])}"
-              + (" ..." if len(uncached) > 8 else ""))
+    status = 0 if run.ok else 1
+    if args.assert_cached and not run.check_cached():
         status = 1
-
     merged_health = None
     if args.health:
-        merged_health = _suite_health(results)
+        merged_health = run.health()
         if merged_health is None:
             print("\n--health: no per-task health reports to aggregate")
             status = 1
@@ -293,42 +103,26 @@ def run_suite_command(args: argparse.Namespace) -> int:
             if merged_health["verdict"] == "violated":
                 status = 1
 
-    params = {"scale": args.scale,
-              "experiments": experiments or experiment_ids()}
     if args.output:
-        _write_report(args.output, _report(
-            results, command="suite", wall_s=wall_s, jobs=jobs,
-            cache=cache, extra={"scale": args.scale, "seed": args.seed}))
+        run.write_report(args.output, scale=args.scale, seed=args.seed)
     if args.manifest:
-        _merged_manifest(args.manifest, results, params, args.seed,
-                         jobs, wall_s, cache, health=merged_health)
+        run.write_manifest(
+            args.manifest,
+            params={"scale": args.scale,
+                    "experiments": experiments or experiment_ids()},
+            seed=args.seed,
+            metrics={f"{r.spec.task_id}.{key}": value
+                     for r in run.results if r.ok
+                     for key, value in sorted(r.payload["metrics"].items())},
+            health=merged_health)
     if args.record_bench:
-        _record_bench(args.record_bench, results, args.scale, jobs,
-                      wall_s)
+        run.record_bench(args.record_bench, f"j{run.jobs}",
+                         scale=args.scale, tasks=len(run.results))
     return status
 
 
-def _record_bench(path: str, results: Sequence[ExecResult],
-                  scale: float, jobs: int, wall_s: float) -> None:
-    """Merge suite wall/cache numbers into a BENCH_perf.json report."""
-    from repro import perf
-
-    try:
-        report = perf.read_report(path)
-    except (OSError, ValueError):
-        report = {}
-    # cpus is recorded because it decides whether -jN can help at all:
-    # on a single-core machine j4 pays pool + pickling overhead for no
-    # parallelism and lands *slower* than j1 (see docs/PERFORMANCE.md)
-    report.setdefault("suite", {})[f"j{jobs}"] = {
-        "scale": scale,
-        "tasks": len(results),
-        "cached": sum(1 for r in results if r.cached),
-        "cpus": os.cpu_count(),
-        "wall_s": round(wall_s, 2),
-    }
-    perf.write_report(path, report)
-    print(f"recorded suite timing in {path}")
+def _axis_values(text: str) -> list[Any]:
+    return [parse_value(value) for value in text.split(",")]
 
 
 def run_sweep_command(args: argparse.Namespace) -> int:
@@ -336,30 +130,21 @@ def run_sweep_command(args: argparse.Namespace) -> int:
     if args.scenario not in known:
         raise SystemExit(f"unknown scenario {args.scenario!r}; known: "
                          f"{', '.join(sorted(known))}")
-    axes = _parse_axes(args.param)
+    axes = parse_assignments(args.param, "--param", convert=_axis_values,
+                             nest=False)
     if not axes:
         raise SystemExit("sweep needs at least one --param axis")
-    base = _parse_fixed(args.fixed)
+    base = parse_assignments(args.fixed, "--set")
     specs = sweep_specs(args.scenario, axes, base=base, seed=args.seed,
                         probes=tuple(args.probe))
-    cache = _cache(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    # wall-clock read is the measurement itself (CLI layer)
-    start = time.perf_counter()  # lint: disable=DET002
-    results = run_tasks(specs, jobs=jobs, cache=cache,
-                        timeout=args.timeout, retries=args.retries)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
-
-    _print_results(results)
-    _print_sweep_metrics(results)
-    _summarise(results, wall_s, cache)
+    run = campaign.run("sweep", specs, args)
+    run.print_results()
+    _print_sweep_metrics(run.results)
+    run.summarise()
     if args.output:
-        _write_report(args.output, _report(
-            results, command="sweep", wall_s=wall_s, jobs=jobs,
-            cache=cache,
-            extra={"scenario": args.scenario, "seed": args.seed,
-                   "grid": axes, "base": base}))
-    return 0 if all(r.ok for r in results) else 1
+        run.write_report(args.output, scenario=args.scenario,
+                         seed=args.seed, grid=axes, base=base)
+    return 0 if run.ok else 1
 
 
 #: Compact cross-kind metric columns for the sweep table.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 
 def canonical_json(value: Any) -> str:
@@ -41,6 +41,53 @@ def derive_seed(root_seed: int, task_id: str) -> int:
     """
     digest = hashlib.sha256(f"{root_seed}:{task_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def parse_value(text: str) -> Any:
+    """A flag value as JSON (numbers, booleans, lists), falling back to
+    the raw string (``algorithm=erica``)."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def set_dotted(params: dict[str, Any], key: str, value: Any) -> None:
+    """``params[a][b] = value`` for ``key == "a.b"``, creating dicts."""
+    parts = key.split(".")
+    node = params
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise TypeError(f"key {key!r} descends into a non-dict value")
+    node[parts[-1]] = value
+
+
+def parse_assignments(pairs: Sequence[str], flag: str, *,
+                      convert: Callable[[str], Any] = parse_value,
+                      nest: bool = True) -> dict[str, Any]:
+    """``KEY=VALUE`` command-line pairs into a params dict.
+
+    Each value goes through ``convert``.  With ``nest``, dotted keys
+    descend into nested dicts (``algorithm_params.interval=2e-3``);
+    without it keys stay as given.  A pair with no key, no ``=`` or an
+    empty value, or one that ``convert`` or the nesting rejects, raises
+    ``SystemExit`` naming ``flag``.
+    """
+    params: dict[str, Any] = {}
+    for pair in pairs:
+        key, _, text = pair.partition("=")
+        try:
+            if not key or not text:
+                raise ValueError("expected KEY=VALUE")
+            value = convert(text)
+            if nest:
+                set_dotted(params, key, value)
+            else:
+                params[key] = value
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"bad {flag} {pair!r}: {exc}") from exc
+    return params
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.exec.registry import get_scenario
-from repro.exec.spec import TaskSpec, derive_seed
+from repro.exec.spec import TaskSpec, derive_seed, set_dotted
 
 #: Spec keys that carry simulated-time values and shrink with ``scale``
 #: (event times must stay inside the shortened horizon).
@@ -156,17 +156,6 @@ def suite_specs(scale: float = 1.0, seed: int = 0,
 # ----------------------------------------------------------------------
 # parameter sweeps
 # ----------------------------------------------------------------------
-def _set_dotted(params: dict[str, Any], key: str, value: Any) -> None:
-    parts = key.split(".")
-    node = params
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise TypeError(
-                f"sweep key {key!r} descends into non-dict value")
-    node[parts[-1]] = value
-
-
 def _axis_label(key: str, value: Any) -> str:
     short = key.rsplit(".", 1)[-1]
     return f"{short}={value}"
@@ -193,7 +182,7 @@ def sweep_specs(scenario: str, grid: Mapping[str, Sequence[Any]],
         params: dict[str, Any] = deepcopy(dict(base or {}))
         labels = []
         for (key, _), value in zip(axes, combo):
-            _set_dotted(params, key, value)
+            set_dotted(params, key, value)
             labels.append(_axis_label(key, value))
         task_id = f"{scenario}[{','.join(labels)}]"
         specs.append(TaskSpec(

@@ -21,12 +21,13 @@ import argparse
 import os
 import time
 
+from repro import perf
 from repro.analysis import format_table
-from repro.cli import write_obs_artifacts
 from repro.configs import FLUID, NAMED, ONOFF_SEED
 from repro.fluid import scenarios
 from repro.fluid.hybrid import hybrid_staggered, packet_twin
 from repro.fluid.validate import failures, validation_rows
+from repro.obs.cli import write_obs_artifacts
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -156,19 +157,24 @@ def _cmd_many(args: argparse.Namespace) -> int:
         print(f"greedy rate : {mean:.3f} Mb/s mean over "
               f"{len(greedy_rates)} flows (final step)")
     if args.record_bench:
-        _merge_bench(args.record_bench, "million", {
+        perf.record_bench(args.record_bench, "fluid", {"million": {
             "flows": flows,
             "sim_seconds": args.duration,
             "wall_s": round(wall_s, 3),
             "sim_per_wall": round(realtime, 2),
             "utilization": round(result.utilization(), 4),
             "cpus": os.cpu_count(),
-        })
+        }})
+        print(f"recorded fluid.million in {args.record_bench}")
     return 0
 
 
 def _cmd_hybrid(args: argparse.Namespace) -> int:
     from repro.core.params import PhantomParams
+
+    if args.record_bench and not args.twin:
+        # the recorded row is the speedup over the packet twin
+        raise SystemExit("repro fluid hybrid: --record-bench needs --twin")
 
     # the default 5% grant floor is a 150 Mb/s-class constant; at wider
     # trunks it must stay well under the foreground share (docs/FLUID.md)
@@ -205,7 +211,7 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     speedup = twin_wall / hybrid_wall if hybrid_wall else float("inf")
     print(f"wall: {twin_wall:.3f} s -> hybrid speedup {speedup:.0f}x")
     if args.record_bench:
-        _merge_bench(args.record_bench, "hybrid_e01", {
+        perf.record_bench(args.record_bench, "fluid", {"hybrid_e01": {
             "foreground": args.foreground,
             "background_flows": args.background,
             "sim_seconds": args.duration,
@@ -217,21 +223,9 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
             "packet_fg_mbps": {vc: round(rate, 3)
                                for vc, rate in sorted(twin_fg.items())},
             "cpus": os.cpu_count(),
-        })
+        }})
+        print(f"recorded fluid.hybrid_e01 in {args.record_bench}")
     return 0
-
-
-def _merge_bench(path: str, key: str, entry: dict) -> None:
-    """Merge one measurement under the report's ``fluid`` key."""
-    from repro import perf
-
-    try:
-        report = perf.read_report(path)
-    except (OSError, ValueError):
-        report = {}
-    report.setdefault("fluid", {})[key] = entry
-    perf.write_report(path, report)
-    print(f"recorded fluid.{key} in {path}")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

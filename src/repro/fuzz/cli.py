@@ -20,21 +20,18 @@ Three subcommands over the :mod:`repro.fuzz` machinery:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
-import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
+from repro import perf
 from repro.analysis import format_table
-from repro.exec.cli import (_add_executor_arguments, _cache,
-                            _print_results, _report, _suite_health,
-                            _summarise, _write_report)
-from repro.exec.pool import ExecResult, default_jobs
+from repro.exec import campaign
 from repro.exec.spec import TaskSpec
 from repro.fuzz.corpus import load_corpus, replay_entry
 from repro.fuzz.gen import generate_batch
-from repro.fuzz.harness import run_campaign
+from repro.fuzz.harness import judge_batch
 from repro.fuzz.shrink import shrink
 
 
@@ -55,7 +52,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     run_p.add_argument("--record-bench", default="",
                        help="merge scenarios/sec throughput into this "
                             "BENCH_perf.json-style report")
-    _add_executor_arguments(run_p)
+    campaign.add_executor_arguments(run_p)
     run_p.set_defaults(fuzz_fn=run_fuzz_command)
 
     shrink_p = sub.add_parser(
@@ -65,7 +62,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                                "a corpus entry")
     shrink_p.add_argument("--eps", type=float, default=0.05,
                           help="oracle-closeness band (default 0.05)")
-    _add_executor_arguments(shrink_p)
+    campaign.add_executor_arguments(shrink_p)
     shrink_p.set_defaults(fuzz_fn=run_shrink_command)
 
     replay_p = sub.add_parser(
@@ -75,7 +72,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                                "(default tests/fuzz/corpus)")
     replay_p.add_argument("--eps", type=float, default=0.05,
                           help="oracle-closeness band (default 0.05)")
-    _add_executor_arguments(replay_p)
+    campaign.add_executor_arguments(replay_p)
     replay_p.set_defaults(fuzz_fn=run_replay_command)
 
 
@@ -101,104 +98,41 @@ def _print_judgments(summary: dict[str, Any]) -> None:
           f"{summary['oracle_checked']} oracle-checked")
 
 
-def _fuzz_manifest(path: str, results: Sequence[ExecResult],
-                   summary: dict[str, Any], args, jobs: int,
-                   wall_s: float, cache) -> None:
-    from repro import obs
-
-    tasks = []
-    for result, judgment in zip(results, summary["judgments"]):
-        row = {"task_id": result.spec.task_id,
-               "scenario": result.spec.scenario,
-               "status": result.status,
-               "classification": judgment["classification"],
-               "fingerprint": result.fingerprint}
-        if result.ok and result.payload.get("health"):
-            row["health"] = result.payload["health"]["verdict"]
-        tasks.append(row)
-    manifest = obs.build_manifest(
-        command="fuzz",
-        params={"budget": args.budget, "eps": args.eps},
-        seed=args.seed,
-        metrics={f"counts.{k}": float(v)
-                 for k, v in summary["counts"].items()},
-        wall_s=wall_s, tasks=tasks,
-        execution={"jobs": jobs,
-                   "cached": sum(1 for r in results if r.cached),
-                   "cache": cache.stats() if cache is not None
-                   else None},
-        health=_suite_health(results))
-    obs.write_manifest(path, manifest)
-    print(f"wrote {path}")
-
-
-def _record_fuzz_bench(path: str, results: Sequence[ExecResult],
-                       args, jobs: int, wall_s: float) -> None:
-    """Append a scenarios/sec row under BENCH_perf.json's fuzz key."""
-    from repro import perf
-
-    try:
-        report = perf.read_report(path)
-    except (OSError, ValueError):
-        report = {}
-    cached = sum(1 for r in results if r.cached)
-    # key by jobs AND warmth: the cold row measures simulation
-    # throughput, the warm row cache-lookup throughput
-    warmth = "warm" if cached == len(results) else "cold"
-    report.setdefault("fuzz", {})[f"j{jobs}-{warmth}"] = {
-        "seed": args.seed,
-        "budget": len(results),
-        "cached": cached,
-        "cpus": os.cpu_count(),
-        "wall_s": round(wall_s, 2),
-        "scenarios_per_sec": round(len(results) / wall_s, 2),
-    }
-    perf.write_report(path, report)
-    print(f"recorded fuzz throughput in {path}")
-
-
 def run_fuzz_command(args: argparse.Namespace) -> int:
     try:
         specs = generate_batch(args.seed, args.budget)
     except ValueError as exc:
         raise SystemExit(f"repro fuzz run: {exc}") from exc
-    cache = _cache(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    # wall-clock read is the measurement itself (CLI layer); simulated
-    # outcomes stay deterministic
-    start = time.perf_counter()  # lint: disable=DET002
-    results, summary = run_campaign(
-        specs, jobs=jobs, cache=cache, timeout=args.timeout,
-        retries=args.retries, eps=args.eps)
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
-
-    _print_results(results)
+    run = campaign.run("fuzz", specs, args,
+                       judge=functools.partial(judge_batch, eps=args.eps))
+    summary = run.judged
+    run.print_results()
     print()
     _print_judgments(summary)
-    _summarise(results, wall_s, cache)
+    run.summarise()
 
     counts = summary["counts"]
-    status = 0 if counts["pass"] == len(results) else 1
-    uncached = [r.spec.task_id for r in results if not r.cached]
-    if args.assert_cached and uncached:
-        print(f"\n--assert-cached: {len(uncached)} task(s) were "
-              f"re-simulated: {', '.join(uncached[:8])}"
-              + (" ..." if len(uncached) > 8 else ""))
+    status = 0 if counts["pass"] == len(run.results) else 1
+    if args.assert_cached and not run.check_cached():
         status = 1
 
     if args.output:
-        _write_report(args.output, _report(
-            results, command="fuzz", wall_s=wall_s, jobs=jobs,
-            cache=cache,
-            extra={"seed": args.seed, "budget": args.budget,
-                   "judgments": summary["judgments"],
-                   "counts": counts}))
+        run.write_report(args.output, seed=args.seed, budget=args.budget,
+                         judgments=summary["judgments"], counts=counts)
     if args.manifest:
-        _fuzz_manifest(args.manifest, results, summary, args, jobs,
-                       wall_s, cache)
+        run.write_manifest(
+            args.manifest, params={"budget": args.budget, "eps": args.eps},
+            seed=args.seed,
+            metrics={f"counts.{k}": float(v) for k, v in counts.items()},
+            health=run.health())
     if args.record_bench:
-        _record_fuzz_bench(args.record_bench, results, args, jobs,
-                           wall_s)
+        # key by jobs AND warmth: the cold row measures simulation
+        # throughput, the warm row cache-lookup throughput
+        warmth = "warm" if run.cached == len(run.results) else "cold"
+        run.record_bench(
+            args.record_bench, f"j{run.jobs}-{warmth}", seed=args.seed,
+            budget=len(run.results),
+            scenarios_per_sec=round(len(run.results) / run.wall_s, 2))
     return status
 
 
@@ -218,7 +152,7 @@ def _load_spec(path: str) -> TaskSpec:
 
 def run_shrink_command(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    cache = _cache(args)
+    cache = campaign.open_cache(args)
     try:
         report = shrink(spec, eps=args.eps, cache=cache,
                         timeout=args.timeout)
@@ -239,9 +173,7 @@ def run_shrink_command(args: argparse.Namespace) -> int:
                    "steps": report["steps"],
                    "size_before": report["size_before"],
                    "size_after": report["size_after"]}
-        Path(args.output).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        perf.write_report(args.output, payload)
         print(f"wrote {args.output}")
     return 0
 
@@ -257,7 +189,7 @@ def run_replay_command(args: argparse.Namespace) -> int:
     if not entries:
         print(f"no corpus entries under {args.corpus_dir}")
         return 1
-    cache = _cache(args)
+    cache = campaign.open_cache(args)
     rows = []
     status = 0
     for path, entry in entries:

@@ -66,7 +66,9 @@ def _executor_domain(ctor: str | None) -> str | None:
     return None
 
 
-def _is_sim_module(package: str, module: str) -> bool:
+def is_sim_module(package: str, module: str) -> bool:
+    """True when ``module`` lies in a simulation subpackage of
+    ``package`` (:data:`SIM_SUBPACKAGES`)."""
     parts = module.split(".")
     return (parts[0] == package and len(parts) > 1
             and parts[1] in SIM_SUBPACKAGES)
@@ -88,7 +90,7 @@ def collect_domain_seeds(graph: ProjectGraph
     for fn in graph.functions.values():
         if fn.is_async:
             seed(fn.qualname, DOMAIN_ASYNC)
-        if _is_sim_module(graph.index.package, fn.module):
+        if is_sim_module(graph.index.package, fn.module):
             seed(fn.qualname, DOMAIN_SIM)
         for cs in fn.call_sites:
             call = cs.node

@@ -31,7 +31,7 @@ from collections import deque
 from typing import Iterator
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.project.domains import _is_sim_module
+from repro.lint.project.domains import is_sim_module
 from repro.lint.project.graph import FunctionInfo, ProjectGraph
 from repro.lint.project.passes import ProjectPass, register
 from repro.lint.rules.determinism import (GLOBAL_RANDOM_FUNCS,
@@ -95,7 +95,7 @@ def direct_sources(graph: ProjectGraph, fn: FunctionInfo
 
 def _sim_roots(graph: ProjectGraph) -> list[str]:
     return sorted(q for q, f in graph.functions.items()
-                  if _is_sim_module(graph.index.package, f.module))
+                  if is_sim_module(graph.index.package, f.module))
 
 
 def _reachable_sources(graph: ProjectGraph, root: str):

@@ -31,7 +31,7 @@ from typing import Iterator
 from repro.lint.findings import Finding, Severity
 from repro.lint.project.graph import FunctionInfo, ProjectGraph
 from repro.lint.project.passes import ProjectPass, register
-from repro.lint.rules.units import SUFFIX_UNITS, _ORDERED_SUFFIXES
+from repro.lint.rules.units import ORDERED_SUFFIXES, SUFFIX_UNITS
 
 #: Annotated units for project APIs: qualname -> (param units, return
 #: unit); a None entry means "no declared unit".  Parameter names carry
@@ -57,7 +57,7 @@ API_UNITS: dict[str, tuple[dict[str, str], str | None]] = {
 
 def unit_of_identifier(name: str) -> str | None:
     """Unit declared by an identifier's suffix, if any."""
-    for suffix in _ORDERED_SUFFIXES:
+    for suffix in ORDERED_SUFFIXES:
         if name.endswith(suffix) and len(name) > len(suffix):
             return SUFFIX_UNITS[suffix]
     return None

@@ -38,7 +38,7 @@ SUFFIX_UNITS = {
 
 #: Units that may never meet in an addition/subtraction/comparison.
 #: (Same-unit arithmetic is fine; conversions go through sim.units.)
-_ORDERED_SUFFIXES = sorted(SUFFIX_UNITS, key=len, reverse=True)
+ORDERED_SUFFIXES = sorted(SUFFIX_UNITS, key=len, reverse=True)
 
 #: Threshold above which a literal delay/time argument cannot plausibly
 #: be seconds of simulation time in this repository (runs are < 100 s);
@@ -54,7 +54,7 @@ def unit_of(node: ast.AST) -> str | None:
         ident = node.attr
     else:
         return None
-    for suffix in _ORDERED_SUFFIXES:
+    for suffix in ORDERED_SUFFIXES:
         if ident.endswith(suffix) and len(ident) > len(suffix):
             return SUFFIX_UNITS[suffix]
     return None

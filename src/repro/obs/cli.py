@@ -20,16 +20,18 @@ See docs/OBSERVABILITY.md for the formats.
 from __future__ import annotations
 
 import argparse
-import json
 import time
 
+from repro.exec.spec import parse_assignments
 from repro.obs.chrome import write_chrome_trace
+from repro.obs.health import DEFAULT_EPS, build_health
 from repro.obs.manifest import (build_manifest, diff_manifests,
                                 read_manifest, validate_manifest,
                                 write_manifest)
 from repro.obs.metrics import registry_from_run
 from repro.obs.trace import (Tracer, read_trace_jsonl, summarize_events,
                              validate_trace_jsonl, write_trace_jsonl)
+from repro.perf import write_report
 from repro.perf.workloads import MIN_SCALE, WORKLOADS
 
 
@@ -107,6 +109,29 @@ def run(args: argparse.Namespace) -> int:
     return args.obs_fn(args)
 
 
+def write_obs_artifacts(command: str, params: dict, run, tracer,
+                        wall_s: float, trace_path: str,
+                        manifest_path: str, seed=None,
+                        health_scenario: str | None = None) -> None:
+    """Write the run's trace (when recorded) and manifest (unless
+    disabled with ``--manifest ''``), with the run's HealthReport
+    folded into the manifest.  Shared by ``repro atm/tcp``, ``repro
+    fluid run`` and ``repro obs record``."""
+    if tracer is not None and trace_path:
+        write_trace_jsonl(trace_path, tracer,
+                          meta={"command": command, **params})
+        print(f"\nwrote {trace_path} ({len(tracer.events)} events)")
+    if manifest_path:
+        registry = registry_from_run(run)
+        health = build_health(run, scenario=health_scenario, params=params)
+        manifest = build_manifest(
+            command=command, params=params, seed=seed,
+            metrics=registry.summary(), wall_s=wall_s,
+            trace_path=trace_path or None, health=health)
+        write_manifest(manifest_path, manifest)
+        print(f"wrote {manifest_path} (health: {health['verdict']})")
+
+
 # ----------------------------------------------------------------------
 def _cmd_record(args: argparse.Namespace) -> int:
     categories = (None if args.categories is None
@@ -120,23 +145,12 @@ def _cmd_record(args: argparse.Namespace) -> int:
     run_handle = workload.build_and_run(args.scale, tracer=tracer)
     wall_s = time.perf_counter() - start  # lint: disable=DET002
 
-    write_trace_jsonl(args.trace, tracer,
-                      meta={"workload": args.workload,
-                            "scale": args.scale})
-    print(f"wrote {args.trace} ({len(tracer.events)} events)")
-    if args.manifest:
-        registry = registry_from_run(run_handle)
-        manifest = build_manifest(
-            command="obs record",
-            params={"workload": args.workload, "scale": args.scale,
-                    "categories": categories},
-            seed=getattr(getattr(run_handle.net, "rng", None), "seed",
-                         None),
-            metrics=registry.summary(),
-            wall_s=wall_s,
-            trace_path=args.trace)
-        write_manifest(args.manifest, manifest)
-        print(f"wrote {args.manifest}")
+    write_obs_artifacts(
+        "obs record",
+        {"workload": args.workload, "scale": args.scale,
+         "categories": categories},
+        run_handle, tracer, wall_s, args.trace, args.manifest,
+        seed=getattr(getattr(run_handle.net, "rng", None), "seed", None))
     return 0
 
 
@@ -188,39 +202,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_overrides(items: list[str]) -> dict:
-    """``KEY=VALUE`` pairs into a (nested) params dict.
-
-    Dotted keys descend (``algorithm_params.utilization_factor=2``);
-    values are parsed as JSON so numbers, booleans, and lists work, with
-    a fallback to the raw string (``algorithm=erica``).
-    """
-    params: dict = {}
-    for item in items:
-        key, eq, raw = item.partition("=")
-        if not eq or not key:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
-        try:
-            value = json.loads(raw)
-        except ValueError:
-            value = raw
-        node = params
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise SystemExit(
-                    f"--set key {key!r} descends into a non-dict value")
-        node[parts[-1]] = value
-    return params
-
-
 def _cmd_health(args: argparse.Namespace) -> int:
     from repro.exec.registry import get_scenario
-    from repro.obs.health import DEFAULT_EPS, build_health
 
     entry = get_scenario(args.scenario)
-    params = _parse_overrides(args.overrides)
+    params = parse_assignments(args.overrides, "--set")
     kwargs = dict(params)
     if entry.takes_seed and args.seed is not None:
         kwargs["seed"] = args.seed
@@ -252,9 +238,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
             for key, value in entry_check["evidence"].items():
                 print(f"      {key}: {value}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_report(args.output, report)
         print(f"wrote {args.output}")
     return 1 if report["verdict"] == "violated" else 0
 

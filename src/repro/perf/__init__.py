@@ -20,8 +20,8 @@ from repro.perf.runner import (DEFAULT_HISTORY, DEFAULT_OUTPUT,
                                HISTORY_WARN_FACTOR, append_history,
                                check_regression, environment_mismatches,
                                history_drift, history_entry, measure,
-                               read_history, read_report, run_suite,
-                               write_report)
+                               read_history, read_report, record_bench,
+                               run_suite, write_report)
 from repro.perf.workloads import MIN_SCALE, WORKLOADS, Workload
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "read_history",
     "read_report",
     "read_trace",
+    "record_bench",
     "run_suite",
     "trace_from_run",
     "write_report",

@@ -181,11 +181,45 @@ def history_drift(current: dict[str, Any], baseline: dict[str, Any],
 
 
 def write_report(path: str, report: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``report`` as indented, key-sorted JSON, atomically.
+
+    The bytes go to a temp file beside ``path`` and replace it in one
+    ``os.replace``, so an interrupted write never leaves a truncated
+    file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def read_report(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def record_bench(path: str, key: str, rows: dict[str, Any], *,
+                 stamp: dict[str, Any] | None = None) -> None:
+    """Merge ``rows`` under ``key`` of the bench report at ``path``.
+
+    The one writer of ``BENCH_perf.json`` (layout in
+    docs/PERFORMANCE.md): every other key, and every row of ``key`` not
+    in ``rows``, is kept.  ``stamp`` sets top-level environment fields
+    (``repro perf``'s ``python``/``machine``).  A missing file starts a
+    fresh report; a file that is not a JSON object of keyed rows is
+    refused with ``SystemExit`` and left untouched.
+    """
+    try:
+        report = read_report(path)
+    except FileNotFoundError:
+        report = {}
+    except ValueError as exc:
+        raise SystemExit(f"refusing to overwrite {path}: not JSON "
+                         f"({exc})") from exc
+    if not isinstance(report, dict) \
+            or not isinstance(report.get(key, {}), dict):
+        raise SystemExit(f"refusing to overwrite {path}: expected a JSON "
+                         f"object with an object under {key!r}")
+    report.update(stamp or {})
+    report.setdefault(key, {}).update(rows)
+    write_report(path, report)

@@ -98,12 +98,16 @@ def test_sweep_cli(tmp_path, capsys):
                  "--param", "algorithm_params.utilization_factor="
                             "0.9,0.95",
                  "--set", "duration=0.05", "--set", "n_sessions=2",
+                 # a dotted --set key descends like a dotted --param axis
+                 "--set", "algorithm_params.interval=0.002",
                  "--probe", "s0.acr",
                  "-j", "1", "--cache-dir", str(tmp_path / "cache"),
                  "--output", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert len(report["tasks"]) == 2
+    assert [t["params"]["algorithm_params"] for t in report["tasks"]] == [
+        {"interval": 0.002, "utilization_factor": factor}
+        for factor in (0.9, 0.95)]
     printed = capsys.readouterr().out
     assert "utilization" in printed and "jain" in printed
 

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.obs import (HEALTH_SCHEMA, SUITE_HEALTH_SCHEMA,
                        validate_manifest)
-from repro.obs.cli import _parse_overrides
+from repro.exec.spec import parse_assignments
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +125,15 @@ def test_obs_health_gated_scenario_still_passes(capsys):
 
 
 def test_parse_overrides_nesting_and_json_values():
-    params = _parse_overrides(["duration=0.2",
-                               "algorithm=erica",
-                               "algorithm_params.utilization_factor=2",
-                               "algorithm_params.use_deviation=true"])
+    params = parse_assignments(["duration=0.2",
+                                "algorithm=erica",
+                                "algorithm_params.utilization_factor=2",
+                                "algorithm_params.use_deviation=true"],
+                               "--set")
     assert params == {"duration": 0.2, "algorithm": "erica",
                       "algorithm_params": {"utilization_factor": 2,
                                            "use_deviation": True}}
     with pytest.raises(SystemExit):
-        _parse_overrides(["not-a-pair"])
+        parse_assignments(["not-a-pair"], "--set")
     with pytest.raises(SystemExit):
-        _parse_overrides(["duration.sub=1", "duration=2"][::-1])
+        parse_assignments(["duration.sub=1", "duration=2"][::-1], "--set")

@@ -36,10 +36,11 @@ def test_list_includes_exec_scenario_registry(capsys):
 
 def test_serve_subcommand_is_wired():
     from repro.cli import build_parser
+    from repro.serve import cli as serve_cli
 
     args = build_parser().parse_args(["serve", "--port", "0",
                                       "--no-admission"])
-    assert args.fn.__name__ == "_cmd_serve"
+    assert args.fn is serve_cli.run
     assert args.port == 0 and args.no_admission
 
     from repro.serve.cli import config_from_args
@@ -128,6 +129,68 @@ def test_perf_writes_companion_manifest(capsys, tmp_path):
     assert manifest["command"] == "perf"
     assert manifest["params"]["workload"] == ["e11_tcp"]
     assert any(key.startswith("e11_tcp.") for key in manifest["metrics"])
+
+
+#: A bench report as several commands leave it (docs/PERFORMANCE.md).
+BENCH = {
+    "python": "3.0.0", "machine": "pdp11",
+    "workloads": {"e01_staggered": {"scale": 1.0, "wall_s": 1.0}},
+    "suite": {"j1": {"tasks": 41, "wall_s": 8.0}},
+    "fuzz": {"j8-cold": {"budget": 200, "wall_s": 60.0}},
+    "fluid": {"million": {"flows": 1000100, "wall_s": 0.4}},
+    "serve": {"capacity_rps": 15.0},
+}
+
+
+def test_perf_output_merges_into_the_bench_file(capsys, tmp_path):
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(BENCH))
+    assert main(["perf", "--workload", "e11_tcp", "--scale", "0.15",
+                 "--output", str(bench)]) == 0
+    merged = json.loads(bench.read_text())
+    for key in ("suite", "fuzz", "fluid", "serve"):
+        assert merged[key] == BENCH[key]
+    assert merged["workloads"]["e01_staggered"] == \
+        BENCH["workloads"]["e01_staggered"]
+    assert merged["workloads"]["e11_tcp"]["scale"] == 0.15
+    # the environment stamp describes this run
+    assert merged["python"] != "3.0.0" and merged["machine"] != "pdp11"
+
+
+def test_fluid_many_records_its_bench_row(capsys, tmp_path):
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(BENCH))
+    assert main(["fluid", "many", "--cohorts", "2",
+                 "--flows-per-cohort", "10", "--greedy", "1",
+                 "--duration", "0.01", "--record-bench", str(bench)]) == 0
+    merged = json.loads(bench.read_text())
+    row = merged["fluid"].pop("million")
+    assert row["flows"] == 21 and row["sim_seconds"] == 0.01
+    assert {"wall_s", "sim_per_wall", "utilization", "cpus"} <= set(row)
+    assert merged == {**BENCH, "fluid": {}}
+
+
+def test_fluid_hybrid_record_bench_needs_twin(tmp_path):
+    bench = tmp_path / "bench.json"
+    with pytest.raises(SystemExit, match="--twin"):
+        main(["fluid", "hybrid", "--record-bench", str(bench)])
+    assert not bench.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--scale", "0.05", "--experiments", "E01", "-j", "1",
+     "--no-cache", "--manifest", ""],
+    ["fuzz", "run", "--seed", "16", "--budget", "1", "-j", "1",
+     "--no-cache"],
+    ["fluid", "many", "--cohorts", "2", "--flows-per-cohort", "10",
+     "--greedy", "1", "--duration", "0.01"],
+], ids=["suite", "fuzz", "fluid-many"])
+def test_record_bench_refuses_an_unparseable_file(capsys, tmp_path, argv):
+    bench = tmp_path / "bench.json"
+    bench.write_text('{"suite": {"j1": ')
+    with pytest.raises(SystemExit, match="refusing to overwrite"):
+        main([*argv, "--record-bench", str(bench)])
+    assert bench.read_text() == '{"suite": {"j1": '
 
 
 def test_obs_record_and_diff_roundtrip(capsys, tmp_path):
