@@ -82,8 +82,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 #: Registry-equivalent scenario names (repro.exec.entries) for the
-#: CLI's flag-level names, so the HealthReport's oracle gating judges
-#: `repro atm/tcp` runs exactly like `repro suite` tasks.
+#: CLI's flag-level names, so `repro atm/tcp` HealthReports are labelled
+#: like `repro suite` tasks.
 HEALTH_SCENARIOS = {
     "atm": {flag: f"atm.{name}" for flag, name in ATM_SCENARIOS.items()},
     "tcp": {"rtt": "tcp.rtt", "parking-lot": "tcp.parking",
@@ -104,7 +104,9 @@ def _cmd_atm(args: argparse.Namespace) -> int:
     if args.trace:
         from repro.obs import Tracer
         tracer = Tracer()
-    config = NAMED[ATM_SCENARIOS[args.scenario]](**kwargs)
+    # the config names its algorithm so the health judge gates on it
+    config = NAMED[ATM_SCENARIOS[args.scenario]](**kwargs,
+                                                 algorithm=args.algorithm)
     # wall-clock read is the measurement itself (CLI layer, not
     # simulation code); the simulated outcome stays deterministic
     start = time.perf_counter()  # lint: disable=DET002

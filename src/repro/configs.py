@@ -4,11 +4,12 @@ A scenario config is a plain JSON-able mapping that describes an ATM
 scenario completely (schema: ``docs/SCENARIOS.md``).
 :func:`repro.scenarios.generic.build_atm` builds it as packets,
 :func:`repro.fluid.scenarios.build_fluid` as flow cohorts, and the
-fuzzer's oracle judges it from :func:`topology`.  The paper's named
+equilibrium judge's oracle (:mod:`repro.obs.judge`) reads it from
+:func:`topology`.  The paper's named
 configurations are the functions collected in :data:`NAMED`.
 
-Standard library only: the fluid core and the fuzz oracle read configs
-without importing either packet stack.
+Standard library only: the fluid core reads configs without importing
+either packet stack.
 """
 
 from __future__ import annotations

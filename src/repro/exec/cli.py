@@ -72,6 +72,10 @@ def _print_health(merged: dict[str, Any]) -> None:
         [[name, counts["pass"], counts["violated"],
           counts["not-applicable"]]
          for name, counts in sorted(merged["checks"].items())]))
+    if merged["not_applicable"]:
+        print("\noracle checks not applicable, runs by gate:")
+        print(format_table(["gate", "runs"],
+                           sorted(merged["not_applicable"].items())))
     print(f"\nhealth: {merged['verdict']} across {merged['runs']} "
           "run(s)")
     for run_id, bad in sorted(merged["violated"].items()):

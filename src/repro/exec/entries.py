@@ -19,7 +19,11 @@ Fingerprint roots: every ATM entry declares ``repro.scenarios.generic``
 ``repro.fluid.scenarios`` and every TCP entry ``repro.scenarios.tcp``;
 :func:`atm_param_deps` / :func:`tcp_param_deps` add the module defining
 the *chosen* algorithm/policy, so an edit to
-``repro/baselines/capc.py`` invalidates only the CAPC tasks.
+``repro/baselines/capc.py`` invalidates only the CAPC tasks.  The ATM
+and fluid entries also declare ``repro.obs.health``: the equilibrium
+judge runs in the worker and its verdicts are cached with the result
+(fuzz campaigns classify from them), so an edit to the judge, its gates
+or its oracle retires those entries.
 """
 
 from __future__ import annotations
@@ -308,16 +312,20 @@ def tcp_twoway(policy: str = "selective-discard",
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
+#: The health report's module: its judge decides the cached verdicts of
+#: every ATM and fluid task.
+_JUDGE = "repro.obs.health"
+
 # the named configurations: one entry function per table row and tier
+_ATM_DEPS = ("repro.scenarios.generic", _JUDGE)
+
 for _name in NAMED:
     register_scenario(f"atm.{_name}", globals()[f"atm_{_name}"], kind="atm",
-                      deps=("repro.scenarios.generic",),
-                      param_deps=atm_param_deps)
+                      deps=_ATM_DEPS, param_deps=atm_param_deps)
 register_scenario("fuzz.generic", atm_config, kind="atm",
-                  deps=("repro.scenarios.generic",),
-                  param_deps=fuzz_param_deps)
+                  deps=_ATM_DEPS, param_deps=fuzz_param_deps)
 
-_FLUID_DEPS = ("repro.fluid.scenarios",)
+_FLUID_DEPS = ("repro.fluid.scenarios", _JUDGE)
 
 for _name in FLUID:
     register_scenario(f"fluid.{_name}", globals()[f"fluid_{_name}"],
@@ -325,7 +333,7 @@ for _name in FLUID:
 register_scenario("fluid.many", fluid_many, kind="fluid",
                   deps=_FLUID_DEPS)
 register_scenario("fluid.hybrid_e01", fluid_hybrid_e01, kind="fluid",
-                  deps=("repro.fluid.hybrid",))
+                  deps=("repro.fluid.hybrid", _JUDGE))
 
 _TCP_DEPS = ("repro.scenarios.tcp",)
 

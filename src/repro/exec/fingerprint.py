@@ -17,7 +17,10 @@ everything) invalidates the world, as it must.
 The executor/worker harness itself is *not* part of the closure; its
 result-format compatibility is versioned explicitly through
 ``RESULT_VERSION`` (bump it when the payload layout or digesting
-changes, and every cache entry ages out at once).
+changes, and every cache entry ages out at once).  Code whose *output*
+is cached with the result is not harness: the ATM and fluid entries
+declare ``repro.obs.health`` as a root, so the equilibrium judge's
+verdicts are recomputed after an edit to it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version of the worker result payload; part of every fingerprint so a
 #: harness change that alters result layout/digesting retires stale
 #: cache entries wholesale.
-RESULT_VERSION = 2  # v2: payloads carry the repro.obs.health report
+# v2: payloads carry the repro.obs.health report; v3: that report
+# carries the equilibrium judge's verdicts, which fuzz campaigns read
+RESULT_VERSION = 3
 
 
 class SourceIndex:

@@ -15,10 +15,11 @@ reduces the run handle to a JSON-able result payload:
   spec's ``probes`` names, for callers that post-process (convergence
   times, windowed statistics);
 * **health report** — the run's :mod:`repro.obs.health` verdicts
-  (conservation, queue bounds, ε-band convergence vs the max-min
-  oracle), so ``repro suite --health`` can aggregate without re-running
-  anything.  ``build_health`` never raises, so a health failure cannot
-  take the task down.
+  (conservation, queue bounds, and the equilibrium judge's ε-band
+  checks against the max-min oracle), so ``repro suite --health`` and
+  the fuzz harness read them without re-running anything.
+  ``build_health`` never raises, so a health failure cannot take the
+  task down.
 
 Exceptions never propagate: failures and timeouts come back as payloads
 with ``status`` ``"error"``/``"timeout"`` so the pool can retry without
@@ -152,8 +153,7 @@ def execute_task(payload: dict[str, Any]) -> dict[str, Any]:
             "probe_digests": {name: probe_digest(probe)
                               for name, probe in sorted(probes.items())},
             "series": _series(probes, spec.probes),
-            "health": build_health(run, scenario=spec.scenario,
-                                   params=spec.params),
+            "health": build_health(run, scenario=spec.scenario),
             "wall_s": round(wall_s, 4),
         }
     except Exception:

@@ -12,6 +12,7 @@ thousand equal claimants, not one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.analysis import queue_stats
 from repro.fluid.model import FluidNetwork, FluidTrunk
@@ -26,11 +27,13 @@ from repro.sim.probe import Probe
 
 @dataclass
 class FluidRun:
-    """A completed fluid scenario."""
+    """A completed fluid scenario, with the config it was built from
+    when :func:`~repro.fluid.scenarios.build_fluid` built it."""
 
     net: FluidNetwork
     bottleneck: FluidTrunk
     duration: float
+    config: Mapping[str, Any] | None = None
 
     @property
     def queue_probe(self) -> Probe:

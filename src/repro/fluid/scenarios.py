@@ -118,7 +118,7 @@ def build_fluid(config: Mapping[str, Any], *, flows_per_session: int = 1,
             net.at(float(entry["stop"]), partial(cohort.set_active, False))
     duration = float(config.get("duration", 0.25))
     result = FluidRun(net=net, bottleneck=net.trunks[reported],
-                      duration=duration)
+                      duration=duration, config=config)
     if run:
         net.run(until=duration)
     return result

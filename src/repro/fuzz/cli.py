@@ -20,7 +20,6 @@ Three subcommands over the :mod:`repro.fuzz` machinery:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 from pathlib import Path
 from typing import Any
@@ -42,8 +41,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "run", help="generate and judge a seeded batch")
     run_p.add_argument("--budget", type=int, default=60,
                        help="number of generated scenarios (default 60)")
-    run_p.add_argument("--eps", type=float, default=0.05,
-                       help="oracle-closeness band (default 0.05)")
     run_p.add_argument("--manifest", default="",
                        help="write a merged run manifest to this path")
     run_p.add_argument("--assert-cached", action="store_true",
@@ -60,8 +57,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     shrink_p.add_argument("--spec", required=True,
                           help="failing spec: a TaskSpec JSON file or "
                                "a corpus entry")
-    shrink_p.add_argument("--eps", type=float, default=0.05,
-                          help="oracle-closeness band (default 0.05)")
     campaign.add_executor_arguments(shrink_p)
     shrink_p.set_defaults(fuzz_fn=run_shrink_command)
 
@@ -70,8 +65,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     replay_p.add_argument("--corpus-dir", default="tests/fuzz/corpus",
                           help="corpus directory "
                                "(default tests/fuzz/corpus)")
-    replay_p.add_argument("--eps", type=float, default=0.05,
-                          help="oracle-closeness band (default 0.05)")
     campaign.add_executor_arguments(replay_p)
     replay_p.set_defaults(fuzz_fn=run_replay_command)
 
@@ -103,8 +96,7 @@ def run_fuzz_command(args: argparse.Namespace) -> int:
         specs = generate_batch(args.seed, args.budget)
     except ValueError as exc:
         raise SystemExit(f"repro fuzz run: {exc}") from exc
-    run = campaign.run("fuzz", specs, args,
-                       judge=functools.partial(judge_batch, eps=args.eps))
+    run = campaign.run("fuzz", specs, args, judge=judge_batch)
     summary = run.judged
     run.print_results()
     print()
@@ -121,7 +113,7 @@ def run_fuzz_command(args: argparse.Namespace) -> int:
                          judgments=summary["judgments"], counts=counts)
     if args.manifest:
         run.write_manifest(
-            args.manifest, params={"budget": args.budget, "eps": args.eps},
+            args.manifest, params={"budget": args.budget},
             seed=args.seed,
             metrics={f"counts.{k}": float(v) for k, v in counts.items()},
             health=run.health())
@@ -154,8 +146,7 @@ def run_shrink_command(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     cache = campaign.open_cache(args)
     try:
-        report = shrink(spec, eps=args.eps, cache=cache,
-                        timeout=args.timeout)
+        report = shrink(spec, cache=cache, timeout=args.timeout)
     except ValueError as exc:
         raise SystemExit(f"repro fuzz shrink: {exc}") from exc
     minimized: TaskSpec = report["spec"]
@@ -193,7 +184,7 @@ def run_replay_command(args: argparse.Namespace) -> int:
     rows = []
     status = 0
     for path, entry in entries:
-        ok, judgment = replay_entry(entry, eps=args.eps, cache=cache,
+        ok, judgment = replay_entry(entry, cache=cache,
                                     timeout=args.timeout)
         expected = entry["expect"]["classification"]
         rows.append([entry["name"], expected,

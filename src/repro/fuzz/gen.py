@@ -293,7 +293,7 @@ def generate_batch(seed: int, budget: int) -> list[TaskSpec]:
 
 
 def session_probes(config: Mapping[str, Any]) -> tuple[str, ...]:
-    """The ACR series the property harness judges settledness and
-    oracle closeness from — one per ABR session."""
+    """The ACR series a generated task returns, one per ABR session,
+    so ``repro fuzz run --output`` reports carry them for triage."""
     return tuple(f"{session['vc']}.acr"
                  for session in config.get("sessions", ()))

@@ -10,34 +10,31 @@ classifications:
     the run completed and every applicable property held;
 ``violated``
     a health check (conservation, queue bound) or an oracle property
-    (fair-share closeness, oracle cross-validation) failed;
+    (fair-share closeness, oracle cross-validation) failed, or the
+    health pass itself failed (``monitor_error``);
 ``crash``
     the worker raised — builder rejection, simulation error;
 ``timeout``
     the task overran its wall-clock budget.
 
-The oracle properties only apply to configs
-:func:`oracle_eligibility` accepts — the same conservatism
-:mod:`repro.obs.health` applies to hand-written scenarios (steady
-greedy demand, paper-filter phantom, settled horizon), restated over
-config dicts because generated scenarios are not in its curated
-scenario set.  For eligible configs the harness also cross-validates
-the Fahmy oracle against the incremental water-filling solver on the
-very topology under test — disagreement is itself a reportable
-violation (``oracle_consistency``), so the two independent
-implementations police each other on every batch.
+The properties are read out of each task's HealthReport, which the
+worker built with the equilibrium judge (:mod:`repro.obs.judge`), so
+generated runs meet the same gates, settled-rate mean and Fahmy oracle
+as hand-written ones.  The classification folds the report's
+``conservation``, ``queue_bound``, ``fairness_gap`` (the settled-mean
+ε-band, reported here as ``oracle_gap``) and ``oracle_consistency``
+checks; the instantaneous ``convergence``/``oscillation`` checks stay
+in the report without deciding the classification.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-from repro.core.fairness import max_min_allocation
-from repro.core.params import PhantomParams
 from repro.exec.pool import ExecResult, run_tasks
 from repro.exec.spec import TaskSpec
-from repro.fuzz.oracle import fair_share, oracle_for_config, topology_of
-from repro.obs.monitor import PASS, VIOLATED, check, fairness_gap_check
+from repro.obs.judge import ORACLE_CHECKS
+from repro.obs.monitor import NOT_APPLICABLE, VIOLATED
 
 #: Classification labels.
 CLASS_PASS = "pass"
@@ -45,169 +42,13 @@ CLASS_VIOLATED = "violated"
 CLASS_CRASH = "crash"
 CLASS_TIMEOUT = "timeout"
 
-#: Tolerance for the two oracle implementations to agree (relative).
-_ORACLE_AGREE_RTOL = 1e-9
-
-#: Phantom knobs that re-parameterise without changing the equilibrium
-#: (mirrors ``repro.obs.health._RESCALING_KEYS``).
-_RESCALING_KEYS = frozenset({"interval", "utilization_factor"})
-#: Gates mirrored from repro.obs.health's equilibrium argument.
-_MAX_FACTOR = 10.0
-_MIN_SETTLED_INTERVALS = 50
-#: Feedback delays above this keep the loop visibly hunting on the
-#: committed horizons, so the ε-band argument is not applied.
-_MAX_ACCESS_DELAY = 1e-3
-#: Empirical settledness: the mean ACR over the last quarter of the
-#: horizon must agree with the quarter before it to within this
-#: fraction of ``eps`` — a run still ramping (slow weighted
-#: convergence, late joins, aggressive factors) is excused from the
-#: ε-band rather than mis-reported as unfair.  A run whose rates have
-#: stopped moving but settled at the *wrong* value stays a violation.
-#: Truly converged runs drift well under 0.5% per quarter-horizon;
-#: weighted sessions at aggressive factors creep at ~2% per quarter
-#: for many horizons, so the cut sits between the two.
-_DRIFT_FRACTION = 0.2
+#: HealthReport check -> the name a classification reports it under.
+_FOLDED = {"conservation": "conservation", "queue_bound": "queue_bound",
+           "fairness_gap": "oracle_gap",
+           "oracle_consistency": "oracle_consistency"}
 
 
-def oracle_eligibility(config: Mapping[str, Any]) -> str | None:
-    """Why the fair-share properties do not apply, or None if they do."""
-    if config.get("algorithm", "phantom") != "phantom":
-        return (f"algorithm {config.get('algorithm')!r} does not target "
-                f"the phantom-adjusted allocation")
-    knobs = dict(config.get("algorithm_params") or {})
-    for key in sorted(knobs):
-        if key not in _RESCALING_KEYS:
-            return (f"algorithm parameter {key!r} departs from the "
-                    f"paper's filter")
-    defaults = PhantomParams()
-    factor = float(knobs.get("utilization_factor",
-                             defaults.utilization_factor))
-    if factor > _MAX_FACTOR:
-        return (f"utilization_factor {factor:g} > {_MAX_FACTOR:g} "
-                f"amplifies MACR noise past the ε-band")
-    link_rate = float(config.get("link_rate", 150.0))
-    for trunk in config.get("trunks", ()):
-        if float(trunk.get("rate", link_rate)) > link_rate:
-            return (f"trunk {trunk['a']}->{trunk['b']} is faster than "
-                    f"the {link_rate:g} Mb/s access links, so sessions "
-                    f"are access-limited and ACR exceeds the trunk "
-                    f"max-min share by design")
-    if config.get("vbr") or config.get("cbr"):
-        return "background cross-traffic perturbs the steady demand"
-    if float(config.get("rm_loss", 0.0)) > 0.0:
-        return "RM-loss ablation perturbs the control loop"
-    duration = float(config.get("duration", 0.25))
-    interval = float(knobs.get("interval", defaults.interval))
-    latest_start = 0.0
-    for session in config.get("sessions", ()):
-        if session.get("onoff"):
-            return (f"session {session['vc']!r} has bursty on/off "
-                    f"demand")
-        if float(session.get("access_delay", 0.0)) > _MAX_ACCESS_DELAY:
-            return (f"session {session['vc']!r} feedback delay exceeds "
-                    f"{_MAX_ACCESS_DELAY:g}s")
-        latest_start = max(latest_start,
-                           float(session.get("start", 0.0)))
-    settled = duration - latest_start
-    if settled < _MIN_SETTLED_INTERVALS * interval:
-        return (f"only {settled:g}s after the last join is under "
-                f"{_MIN_SETTLED_INTERVALS} control intervals "
-                f"({interval:g}s each)")
-    # shares the grant floor makes unreachable by construction
-    capacities, routes = topology_of(config)
-    oracle = oracle_for_config(config)
-    fraction = defaults.grant_floor_fraction
-    for vc in sorted(oracle):
-        floor = min(fraction * capacities[link]
-                    for link in routes[vc])
-        if oracle[vc] < floor:
-            return (f"oracle share {oracle[vc]:.3g} Mb/s for {vc!r} is "
-                    f"below the grant floor {floor:.3g} Mb/s")
-    return None
-
-
-def _window_mean(times: list[float], values: list[float],
-                 lo: float, hi: float) -> float:
-    """Time-weighted mean of a change-recorded step series over
-    ``[lo, hi]`` (the value holds between records)."""
-    if not times or hi <= lo:
-        return 0.0
-    total = 0.0
-    for i, value in enumerate(values):
-        seg_lo = max(times[i], lo)
-        seg_hi = min(times[i + 1] if i + 1 < len(times) else hi, hi)
-        if seg_hi > seg_lo:
-            total += value * (seg_hi - seg_lo)
-    return total / (hi - lo)
-
-
-def _oracle_checks(config: Mapping[str, Any],
-                   series: Mapping[str, Any], eps: float,
-                   ) -> tuple[list[dict], dict[str, float], str | None]:
-    """``(checks, oracle, skip_reason)`` for an eligible config.
-
-    The measured quantity is the **settled allowed cell rate**: the
-    time-weighted mean ACR over the last quarter of the horizon.  ACR
-    is what the control loop actually assigns (goodput trails it by
-    the RM-cell overhead and queueing), so the ε-band compares like
-    with like.  Settledness is judged empirically per session — the
-    last-quarter mean against the quarter before it — and an unsettled
-    run skips the band instead of failing it.
-    """
-    oracle = oracle_for_config(config)
-    duration = float(config.get("duration", 0.25))
-    measured: dict[str, float] = {}
-    drift_tol = _DRIFT_FRACTION * eps
-    for vc in sorted(oracle):
-        acr = series.get(f"{vc}.acr")
-        if acr is None:
-            return [], oracle, (f"no ACR series for {vc!r} (spec "
-                                f"requested no probes)")
-        late = _window_mean(acr["times"], acr["values"],
-                            0.75 * duration, duration)
-        mid = _window_mean(acr["times"], acr["values"],
-                           0.5 * duration, 0.75 * duration)
-        drift = abs(late - mid) / max(abs(late), 1e-12)
-        if drift > drift_tol:
-            return [], oracle, (f"{vc!r} still ramping at the horizon "
-                                f"(last-quarter ACR drifted {drift:.1%}"
-                                f" > {drift_tol:.1%})")
-        measured[vc] = late
-    gap = fairness_gap_check(measured, oracle, eps=eps)
-    gap["name"] = "oracle_gap"
-    checks = [gap, _consistency_check(config)]
-    return checks, oracle, None
-
-
-def _consistency_check(config: Mapping[str, Any]) -> dict:
-    """The Fahmy solver against incremental water-filling, same inputs."""
-    from repro.atm.params import AbrParams
-
-    capacities, routes = topology_of(config)
-    knobs = dict(config.get("algorithm_params") or {})
-    factor = float(knobs.get("utilization_factor",
-                             PhantomParams().utilization_factor))
-    weights: dict[str, float] = {}
-    minimums: dict[str, float] = {}
-    for session in config.get("sessions", ()):
-        params = AbrParams(**dict(session.get("params") or {}))
-        weights[session["vc"]] = params.weight
-        if params.mcr > 0:
-            minimums[session["vc"]] = params.mcr
-    kwargs = dict(phantom_weight=1.0 / factor, weights=weights,
-                  minimums=minimums or None)
-    ours = fair_share(capacities, routes, **kwargs)
-    reference = max_min_allocation(capacities, routes, **kwargs)
-    worst = max((abs(ours[vc] - reference[vc])
-                 / max(abs(reference[vc]), 1e-12) for vc in reference),
-                default=0.0)
-    verdict = PASS if worst <= _ORACLE_AGREE_RTOL else VIOLATED
-    return check("oracle_consistency", verdict,
-                 evidence={"max_relative_disagreement": worst})
-
-
-def classify_result(result: ExecResult,
-                    eps: float = 0.05) -> dict[str, Any]:
+def classify_result(result: ExecResult) -> dict[str, Any]:
     """One judgment dict for one executed (or cached) task."""
     spec = result.spec
     judgment: dict[str, Any] = {
@@ -223,33 +64,33 @@ def classify_result(result: ExecResult,
         judgment["detail"] = result.error
         return judgment
 
-    payload = result.payload
-    checks = list(payload.get("health", {}).get("checks", ()))
-    eligibility = None
-    if spec.config is not None:
-        eligibility = oracle_eligibility(spec.config)
-        if eligibility is None:
-            extra, oracle, skipped = _oracle_checks(
-                spec.config, payload.get("series") or {}, eps)
-            if skipped is None:
-                checks.extend(extra)
-                judgment["oracle"] = oracle
-            else:
-                judgment["oracle_skipped"] = skipped
-        else:
-            judgment["oracle_skipped"] = eligibility
-    failed = sorted(c["name"] for c in checks
-                    if c["verdict"] == VIOLATED)
+    report = result.payload.get("health") or {}
+    checks = report.get("checks", ())
+    if "oracle" in report:
+        judgment["oracle"] = report["oracle"]
+    for entry in checks:
+        if entry["name"] in ORACLE_CHECKS \
+                and entry["verdict"] == NOT_APPLICABLE:
+            judgment["oracle_skipped"] = entry["evidence"]["reason"]
+            break
+    failed = [_FOLDED[c["name"]] for c in checks
+              if c["name"] in _FOLDED and c["verdict"] == VIOLATED]
+    errors = [c for c in checks if c["name"] == "monitor_error"]
+    if errors or not checks:
+        # a health pass that failed judged nothing: that is no pass
+        failed.append("monitor_error")
+        judgment["detail"] = (errors[0]["evidence"].get("error")
+                              if errors else "no health checks in payload")
+    failed.sort()
     judgment["classification"] = (CLASS_VIOLATED if failed
                                   else CLASS_PASS)
     judgment["checks"] = failed
     return judgment
 
 
-def judge_batch(results: Iterable[ExecResult],
-                eps: float = 0.05) -> dict[str, Any]:
+def judge_batch(results: Iterable[ExecResult]) -> dict[str, Any]:
     """Judgments plus a batch summary, in submission order."""
-    judgments = [classify_result(result, eps) for result in results]
+    judgments = [classify_result(result) for result in results]
     counts = {CLASS_PASS: 0, CLASS_VIOLATED: 0, CLASS_CRASH: 0,
               CLASS_TIMEOUT: 0}
     failing: dict[str, list[str]] = {}
@@ -267,9 +108,9 @@ def judge_batch(results: Iterable[ExecResult],
 
 def run_campaign(specs: list[TaskSpec], *, jobs: int | None = None,
                  cache=None, timeout: float | None = None,
-                 retries: int = 1, eps: float = 0.05,
+                 retries: int = 1,
                  ) -> tuple[list[ExecResult], dict[str, Any]]:
     """Execute a batch cache-first and judge every outcome."""
     results = run_tasks(specs, jobs=jobs, cache=cache, timeout=timeout,
                         retries=retries)
-    return results, judge_batch(results, eps)
+    return results, judge_batch(results)

@@ -12,7 +12,9 @@ Four pieces (see docs/OBSERVABILITY.md):
   load in Perfetto / ``about://tracing``;
 * :mod:`repro.obs.monitor` / :mod:`repro.obs.health` — streaming
   invariant monitors (conservation, queue bounds, ε-band convergence)
-  folded into per-run **HealthReports** with max-min verdicts.
+  folded into per-run **HealthReports** with max-min verdicts, decided
+  by the equilibrium judge :mod:`repro.obs.judge` against the Fahmy
+  oracle of :mod:`repro.obs.oracle`.
 
 ``repro obs`` (see :mod:`repro.obs.cli`) is the command-line entry
 point.  Tracing is opt-in and observation-only: with no tracer

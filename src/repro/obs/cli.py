@@ -123,7 +123,7 @@ def write_obs_artifacts(command: str, params: dict, run, tracer,
         print(f"\nwrote {trace_path} ({len(tracer.events)} events)")
     if manifest_path:
         registry = registry_from_run(run)
-        health = build_health(run, scenario=health_scenario, params=params)
+        health = build_health(run, scenario=health_scenario)
         manifest = build_manifest(
             command=command, params=params, seed=seed,
             metrics=registry.summary(), wall_s=wall_s,
@@ -206,13 +206,11 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.exec.registry import get_scenario
 
     entry = get_scenario(args.scenario)
-    params = parse_assignments(args.overrides, "--set")
-    kwargs = dict(params)
+    kwargs = parse_assignments(args.overrides, "--set")
     if entry.takes_seed and args.seed is not None:
         kwargs["seed"] = args.seed
     run_handle = entry.fn(**kwargs)
     report = build_health(run_handle, scenario=args.scenario,
-                          params=params,
                           eps=(DEFAULT_EPS if args.eps is None
                                else args.eps),
                           queue_bound=args.queue_bound)

@@ -10,17 +10,14 @@ packet TCP, fluid, or hybrid — into one schema'd **HealthReport**::
      "checks": [{"name": "conservation", "verdict": "pass",
                  "first_violation_ts": None, "evidence": {...}}, ...]}
 
-Five canonical checks: ``conservation`` and ``queue_bound`` apply to
-every run; ``convergence``, ``oscillation``, and ``fairness_gap`` are
-judged against the **oracle** — the phantom-adjusted max-min allocation
-computed by :func:`repro.core.fairness.max_min_allocation` from the
-network's own ``capacities()``/``routes()`` exporters — and report
-``not-applicable`` (with the reason in evidence) for runs the paper's
-equilibrium argument does not cover: baselines, binary mode, bursty or
-transient demand, ablations that change the control law itself.  An
-ablation that only re-parameterises the law (``utilization_factor``,
-``interval``) keeps its oracle, with the factor folded into the
-phantom weight.
+Six canonical checks: ``conservation`` and ``queue_bound`` apply to
+every run; ``convergence``, ``oscillation``, ``fairness_gap`` and
+``oracle_consistency`` are decided by the equilibrium judge
+(:mod:`repro.obs.judge`) against the **oracle** — the phantom-adjusted
+max-min allocation — and report ``not-applicable`` (with the gate and
+reason in evidence) for runs the paper's equilibrium argument does not
+cover.  The judge reads its gates from the scenario config the run was
+built from; TCP and hybrid runs are never judged.
 
 The report rides inside run manifests (``repro.obs.manifest``), is
 reduced per task by the exec worker and aggregated by ``repro suite
@@ -35,13 +32,17 @@ never take a worker task down with it.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Mapping
 
 from repro.core.fairness import max_min_allocation
+from repro.core.params import PhantomParams
+from repro.core.phantom import PhantomAlgorithm
+from repro.obs.judge import (ORACLE_CHECKS, gate_reason, judge,
+                             not_applicable, oracle_for_config)
 from repro.obs.monitor import (DEFAULT_EPS, NOT_APPLICABLE, PASS, VIOLATED,
                                QueueWatch, check, conservation_check,
-                               convergence_check, fairness_gap_check,
-                               oscillation_check, queue_bound_check)
+                               queue_bound_check)
 
 #: Schema identifier stamped into every report.
 HEALTH_SCHEMA = "repro.obs.health"
@@ -51,36 +52,7 @@ HEALTH_VERSION = 1
 SUITE_HEALTH_SCHEMA = "repro.obs.health.suite"
 
 #: The canonical check names, in report order.
-CHECK_NAMES = ("conservation", "queue_bound", "convergence",
-               "oscillation", "fairness_gap")
-#: The checks that need an oracle allocation to be judged.
-ORACLE_CHECKS = ("convergence", "oscillation", "fairness_gap")
-
-#: Scenarios whose committed demand pattern is steady and greedy, so
-#: the phantom-adjusted max-min equilibrium is the right reference.
-#: On/off, transient join/leave, CBR background, and the many-flows
-#: soak (demand-limited cohorts) are deliberately absent.
-_ORACLE_SCENARIOS = frozenset({
-    "atm.staggered", "atm.rtt", "atm.parking", "atm.weighted",
-    "fluid.staggered", "fluid.parking",
-})
-
-#: ``algorithm_params``/``phantom_params`` keys that re-parameterise
-#: the Phantom law without changing what it converges to (the factor f
-#: feeds the oracle's phantom weight; Δt only changes the time scale).
-_RESCALING_KEYS = frozenset({"interval", "utilization_factor"})
-
-#: Largest utilization factor the ε-band argument holds for.  ACR
-#: noise is MACR noise amplified f-fold, so very aggressive factors
-#: ring permanently: empirically f ≤ 12 settles into the 5% band on
-#: the committed horizons and f = 15 already never does.  10 keeps a
-#: margin to that cliff (the paper's own choices are 2–10).
-MAX_ORACLE_FACTOR = 10.0
-
-#: Shortest run worth judging for convergence, in control intervals.
-#: Settling takes tens of intervals (E01: ≈ 38 of Δt = 1 ms), so a
-#: shorter horizon measures the transient, not the equilibrium.
-MIN_ORACLE_INTERVALS = 50
+CHECK_NAMES = ("conservation", "queue_bound") + ORACLE_CHECKS
 
 
 def verdict_of(checks: list[dict[str, Any]]) -> str:
@@ -94,66 +66,21 @@ def verdict_of(checks: list[dict[str, Any]]) -> str:
     return NOT_APPLICABLE
 
 
-def _not_applicable(reason: str) -> list[dict[str, Any]]:
-    return [check(name, NOT_APPLICABLE, evidence={"reason": reason})
-            for name in ORACLE_CHECKS]
-
-
 # ----------------------------------------------------------------------
 # oracle wiring
 # ----------------------------------------------------------------------
 def oracle_allocation(run) -> dict[str, float]:
-    """The phantom-adjusted max-min allocation for a run's topology.
+    """The allocation the judge holds a run's rates to.
 
-    Reads the network's ``capacities()``/``routes()`` exporters and the
-    Phantom parameters the run was actually built with: the phantom
-    weight is ``1/f`` from the bottleneck's ``utilization_factor``,
-    session weights and MCR floors come from the per-session ABR
-    parameters, and every session's share is clamped at its PCR (a
-    source never sends faster, whatever the water level says).
-
-    For fluid runs the unit is the *per-flow* rate: a cohort of
-    ``count`` flows enters the water-fill with ``count × weight``
-    shares and its allocation is divided back by ``count``.
+    A packet run's is :func:`repro.obs.judge.oracle_for_config` over
+    the config it was built from.  A fluid run's is *per flow*, read
+    off the built network: a cohort of ``count`` flows enters the
+    water-fill with ``count × weight`` shares and its allocation is
+    divided back by ``count``, clamped at the cohort's PCR.
     """
     net = run.net
-    if hasattr(net, "steps"):          # FluidNetwork
-        return _fluid_oracle(net)
-    capacities = net.capacities()
-    routes = {name: path for name, path in net.routes().items() if path}
-    factor = _utilization_factor(run)
-    weights = {}
-    minimums = {}
-    pcr = {}
-    for vc, session in net.sessions.items():
-        params = session.source.params
-        weights[vc] = params.weight
-        if params.mcr > 0:
-            minimums[vc] = params.mcr
-        pcr[vc] = params.pcr
-    allocation = max_min_allocation(capacities, routes,
-                                    phantom_weight=1.0 / factor,
-                                    minimums=minimums or None,
-                                    weights=weights)
-    return {vc: min(rate, pcr[vc])
-            for vc, rate in allocation.items()}
-
-
-def _utilization_factor(run) -> float:
-    algorithm = getattr(run.bottleneck, "algorithm", None)
-    factor = getattr(getattr(algorithm, "params", None),
-                     "utilization_factor", None)
-    if factor is None:
-        raise ValueError(
-            "bottleneck algorithm exposes no utilization_factor; "
-            "the phantom-adjusted oracle needs a Phantom port")
-    return factor
-
-
-def _fluid_oracle(net) -> dict[str, float]:
-    capacities = net.capacities()
-    routes = net.routes()
-    factor = net.phantom.utilization_factor
+    if not hasattr(net, "steps"):      # AtmRun
+        return oracle_for_config(run.config)
     weights = {}
     counts = {}
     pcr = {}
@@ -161,163 +88,74 @@ def _fluid_oracle(net) -> dict[str, float]:
         weights[cohort.name] = cohort.count * cohort.params.weight
         counts[cohort.name] = cohort.count
         pcr[cohort.name] = cohort.params.pcr
-    allocation = max_min_allocation(capacities, routes,
-                                    phantom_weight=1.0 / factor,
-                                    weights=weights)
+    allocation = max_min_allocation(
+        net.capacities(), net.routes(),
+        phantom_weight=1.0 / net.phantom.utilization_factor,
+        weights=weights)
     return {name: min(rate / counts[name], pcr[name])
             for name, rate in allocation.items()}
-
-
-def _oracle_reason(scenario: str | None,
-                   params: Mapping[str, Any] | None,
-                   kind: str) -> str | None:
-    """Why the oracle checks do not apply, or None when they do."""
-    if scenario is None:
-        return "no scenario name given"
-    if scenario not in _ORACLE_SCENARIOS:
-        return (f"scenario {scenario!r} has no steady greedy "
-                f"equilibrium to judge against")
-    params = params or {}
-    if kind == "atm":
-        algorithm = params.get("algorithm", "phantom")
-        if algorithm != "phantom":
-            return (f"algorithm {algorithm!r} does not target the "
-                    f"phantom-adjusted allocation")
-        knobs = params.get("algorithm_params") or {}
-    else:
-        if params.get("mode", "er") != "er":
-            return "binary feedback mode has no explicit-rate oracle"
-        if params.get("rm_loss", 0.0):
-            return "RM-loss ablation perturbs the control loop"
-        knobs = params.get("phantom_params") or {}
-    for key, value in knobs.items():
-        if key in _RESCALING_KEYS:
-            continue
-        if key == "use_deviation" and value is True:
-            continue
-        return (f"algorithm parameter {key!r} departs from the "
-                f"paper's filter")
-    return None
 
 
 # ----------------------------------------------------------------------
 # per-tier check assembly
 # ----------------------------------------------------------------------
-def _steady_measured(probes: Mapping[str, Any], start: float,
-                     end: float) -> dict[str, float]:
-    """Time-averaged value of each probe over the steady window."""
-    measured = {}
-    for name, probe in probes.items():
-        window = probe.window(start, end)
-        if len(window):
-            measured[name] = window.time_average(end=end)
-        else:
-            measured[name] = probe.value_at(start, 0.0)
-    return measured
-
-
-def _oracle_checks(probes: Mapping[str, Any], oracle: dict[str, float],
-                   run, eps: float) -> list[dict[str, Any]]:
-    conv = convergence_check(probes, oracle, eps=eps,
-                             horizon=run.duration)
-    settling = conv["evidence"]["settling_s"]
-    osc = oscillation_check(probes, oracle, settling, eps=eps,
-                            horizon=run.duration)
-    start, end = run.steady_window()
-    gap = fairness_gap_check(_steady_measured(probes, start, end),
-                             oracle, eps=eps)
-    return [conv, osc, gap]
-
-
-def _floor_reason(oracle: Mapping[str, float],
-                  routes: Mapping[str, list[str]],
-                  floors: Mapping[str, float]) -> str | None:
-    """Phantom never grants below ``grant_floor_fraction × C``, so an
-    oracle share under the floor of every link on the path is
-    unreachable by construction — the ε-band argument does not apply
-    (per-flow shares, in the fluid tier's case)."""
-    for name in sorted(oracle):
-        path = routes.get(name) or []
-        if not path:
-            continue
-        floor = min(floors[link] for link in path)
-        if oracle[name] < floor:
-            return (f"oracle share {oracle[name]:.3g} Mb/s for "
-                    f"{name!r} is below the grant floor "
-                    f"{floor:.3g} Mb/s")
-    return None
-
-
-def _equilibrium_reason(factor: float, interval: float,
-                        duration: float) -> str | None:
-    """Gates read off the built network, not the params: does the run
-    as configured sit where the equilibrium argument applies?"""
-    if factor > MAX_ORACLE_FACTOR:
-        return (f"utilization_factor {factor:g} > {MAX_ORACLE_FACTOR:g} "
-                f"amplifies MACR noise past the ε-band")
-    if duration < MIN_ORACLE_INTERVALS * interval:
-        return (f"horizon {duration:g}s is under "
-                f"{MIN_ORACLE_INTERVALS} control intervals "
-                f"({interval:g}s each)")
-    return None
-
-
-def _atm_checks(run, scenario, params, eps, queue_bound, watch):
+def _judged(run, probes, eps, queue_bound, watch):
     checks = [conservation_check(run),
               queue_bound_check(run, queue_bound, watch)]
-    reason = _oracle_reason(scenario, params, "atm")
-    if reason is None:
-        algo_params = run.bottleneck.algorithm.params
-        reason = _equilibrium_reason(algo_params.utilization_factor,
-                                     algo_params.interval, run.duration)
-    if reason is not None:
-        return checks + _not_applicable(reason), None
-    oracle = oracle_allocation(run)
-    fraction = getattr(run.bottleneck.algorithm.params,
-                       "grant_floor_fraction", 0.0)
-    floors = {port.name: fraction * port.rate_mbps
-              for port in run.net.trunks.values()}
-    reason = _floor_reason(oracle, run.net.routes(), floors)
-    if reason is not None:
-        return checks + _not_applicable(reason), None
-    probes = {vc: session.acr_probe
-              for vc, session in run.net.sessions.items()}
-    return checks + _oracle_checks(probes, oracle, run, eps), oracle
+    judged, oracle = judge(run.config, probes, eps,
+                           oracle=lambda _config: oracle_allocation(run))
+    return checks + judged, oracle
 
 
-def _tcp_checks(run, scenario, params, eps, queue_bound, watch):
+def _law_mismatch(run) -> str | None:
+    """Why a packet run's built law is not the Phantom law its config
+    names, if it is not.  The public builders take an algorithm factory
+    and leave it out of the config, so the config alone cannot tell an
+    ERICA run, or Phantom at another factor, from the default."""
+    config = run.config
+    if config is None or gate_reason(config) is not None:
+        return None                    # the judge excuses these itself
+    algorithm = run.bottleneck.algorithm
+    named = PhantomParams(**(config.get("algorithm_params") or {}))
+    if type(algorithm) is not PhantomAlgorithm:
+        return (f"built algorithm {type(algorithm).__name__} is not the "
+                f"Phantom law its config names")
+    built, wanted = asdict(algorithm.params), asdict(named)
+    changed = [f"{key} {wanted[key]!r} -> {built[key]!r}"
+               for key in sorted(built) if built[key] != wanted[key]]
+    if changed:
+        return (f"built Phantom parameters differ from the config's: "
+                f"{', '.join(changed)}")
+    return None
+
+
+def _atm_checks(run, eps, queue_bound, watch):
+    reason = _law_mismatch(run)
+    if reason is not None:
+        return [conservation_check(run),
+                queue_bound_check(run, queue_bound, watch)] \
+            + not_applicable("algorithm", reason), None
+    return _judged(run, {vc: session.acr_probe
+                         for vc, session in run.net.sessions.items()},
+                   eps, queue_bound, watch)
+
+
+def _fluid_checks(run, eps, queue_bound, watch):
+    return _judged(run, {cohort.name: cohort.rate_probe
+                         for cohort in run.net.cohorts},
+                   eps, queue_bound, watch)
+
+
+def _tcp_checks(run, eps, queue_bound, watch):
     checks = [conservation_check(run),
               queue_bound_check(run, queue_bound, watch)]
     # TCP's AIMD hunts around the fair share by design — there is no
     # settled explicit rate for the ε-band argument to bound.
-    reason = "TCP window control has no settled explicit rate"
-    return checks + _not_applicable(reason), None
+    return checks + not_applicable(
+        "tcp", "TCP window control has no settled explicit rate"), None
 
 
-def _fluid_checks(run, scenario, params, eps, queue_bound, watch):
-    checks = [conservation_check(run),
-              queue_bound_check(run, queue_bound, watch)]
-    reason = _oracle_reason(scenario, params, "fluid")
-    if reason is None:
-        reason = _equilibrium_reason(
-            run.net.phantom.utilization_factor, run.net.dt, run.duration)
-    if reason is None and not run.net.record_cohorts:
-        reason = "cohort recording is off (no per-flow rate series)"
-    if reason is not None:
-        return checks + _not_applicable(reason), None
-    oracle = oracle_allocation(run)
-    floors = {name: trunk.params.grant_floor_fraction
-              * trunk.capacity_mbps
-              for name, trunk in run.net.trunks.items()}
-    reason = _floor_reason(oracle, run.net.routes(), floors)
-    if reason is not None:
-        return checks + _not_applicable(reason), None
-    probes = {cohort.name: cohort.rate_probe
-              for cohort in run.net.cohorts}
-    return checks + _oracle_checks(probes, oracle, run, eps), oracle
-
-
-def _hybrid_checks(run, scenario, params, eps, queue_bound, watch):
+def _hybrid_checks(run, eps, queue_bound, watch):
     # judge the packet-accurate foreground; fold the fluid background's
     # ledger and queues in as extra named checks so a background
     # violation still taints the run
@@ -330,10 +168,10 @@ def _hybrid_checks(run, scenario, params, eps, queue_bound, watch):
     checks += [fluid_cons, fluid_queue]
     reason = ("hybrid foreground shares its trunks with a fluid "
               "background the packet oracle cannot see")
-    return checks + _not_applicable(reason), None
+    return checks + not_applicable("hybrid", reason), None
 
 
-def _checks_for(run, scenario, params, eps, queue_bound, watch):
+def _checks_for(run, eps, queue_bound, watch):
     if hasattr(run, "coupling"):                       # HybridRun
         build = _hybrid_checks
     elif hasattr(run.net, "steps"):                    # FluidRun
@@ -342,22 +180,21 @@ def _checks_for(run, scenario, params, eps, queue_bound, watch):
         build = _tcp_checks
     else:                                              # AtmRun
         build = _atm_checks
-    return build(run, scenario, params, eps, queue_bound, watch)
+    return build(run, eps, queue_bound, watch)
 
 
 # ----------------------------------------------------------------------
 # the report
 # ----------------------------------------------------------------------
 def build_health(run, *, scenario: str | None = None,
-                 params: Mapping[str, Any] | None = None,
                  eps: float = DEFAULT_EPS,
                  queue_bound: float | None = None,
                  queue_watch: QueueWatch | None = None) -> dict[str, Any]:
     """Assemble the HealthReport for a completed run handle.
 
-    ``scenario`` is the registry name (``"atm.staggered"``) and
-    ``params`` its entry kwargs — together they gate the oracle checks.
-    ``queue_bound`` overrides the derived per-port bound (cells or
+    ``scenario`` is the registry name (``"atm.staggered"``) the report
+    is labelled with; the oracle checks are gated by the config the run
+    was built from (:mod:`repro.obs.judge`).  ``queue_bound`` overrides the derived per-port bound (cells or
     packets); ``queue_watch`` merges a live :class:`QueueWatch`'s
     first-violation timestamps into the queue verdict.
 
@@ -366,8 +203,7 @@ def build_health(run, *, scenario: str | None = None,
     """
     oracle = None
     try:
-        checks, oracle = _checks_for(run, scenario, params, eps,
-                                     queue_bound, queue_watch)
+        checks, oracle = _checks_for(run, eps, queue_bound, queue_watch)
     except Exception as exc:  # never take the caller down
         checks = [check("monitor_error", NOT_APPLICABLE,
                         evidence={"error":
@@ -426,10 +262,12 @@ def merge_health(reports: Mapping[str, Mapping[str, Any]]
 
     The fold is worst-of across runs; ``violated`` names each failing
     run with its failing checks so ``repro suite --health`` can print
-    an actionable table and exit non-zero.
+    an actionable table and exit non-zero.  ``not_applicable`` counts
+    the runs whose oracle checks were excused, by the judge's gate.
     """
     verdicts = {PASS: 0, VIOLATED: 0, NOT_APPLICABLE: 0}
     by_check: dict[str, dict[str, int]] = {}
+    by_gate: dict[str, int] = {}
     violated: dict[str, list[str]] = {}
     for run_id in sorted(reports):
         report = reports[run_id]
@@ -441,6 +279,9 @@ def merge_health(reports: Mapping[str, Mapping[str, Any]]
             counts[entry["verdict"]] += 1
             if entry["verdict"] == VIOLATED:
                 bad.append(entry["name"])
+        gate = _gate_of(report)
+        if gate is not None:
+            by_gate[gate] = by_gate.get(gate, 0) + 1
         if bad:
             violated[run_id] = bad
     if verdicts[VIOLATED]:
@@ -456,8 +297,18 @@ def merge_health(reports: Mapping[str, Mapping[str, Any]]
         "verdict": overall,
         "verdicts": verdicts,
         "checks": {name: by_check[name] for name in sorted(by_check)},
+        "not_applicable": dict(sorted(by_gate.items())),
         "violated": violated,
     }
+
+
+def _gate_of(report: Mapping[str, Any]) -> str | None:
+    """The gate that excused a report's oracle checks, if one did."""
+    for entry in report.get("checks", []):
+        if entry["name"] in ORACLE_CHECKS \
+                and entry["verdict"] == NOT_APPLICABLE:
+            return entry["evidence"].get("gate", "unknown")
+    return None
 
 
 __all__ = [

@@ -226,8 +226,6 @@ _FLUID_RTOL = 1e-6
 
 
 def _fluid_conservation(net) -> dict[str, Any]:
-    from repro.fluid.stepper import rate_cells_per_interval
-
     dt = net.dt
     ledger: dict[str, dict[str, float]] = {}
     bad: list[str] = []
@@ -239,8 +237,11 @@ def _fluid_conservation(net) -> dict[str, Any]:
         queue = 0.0
         for step in range(1, net.steps + 1):
             offered = trunk.offered_probe.value_at(step * dt, 0.0)
-            queue += rate_cells_per_interval(
-                offered - trunk.capacity_mbps, dt)
+            # the stepper's rate_cells_per_interval, spelled out: an
+            # import of the fluid stepper here would put it in every
+            # packet task's fingerprint closure
+            queue += ((offered - trunk.capacity_mbps) * 1e6 * dt
+                      / units.CELL_BITS)
             if queue < 0.0:
                 queue = 0.0
         drift = abs(queue - trunk.queue_cells)

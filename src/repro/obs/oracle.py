@@ -1,19 +1,20 @@
 """Centralized max-min fair-share oracle (Fahmy et al.).
 
-An independent implementation of the fair share the fuzzer judges runs
-against, following the *centralized* algorithm of Fahmy, Jain et al.,
-"On Determining the Fair Bandwidth Share for ABR Connections in ATM
-Networks": order links by their advertised bottleneck level, saturate
-every link at the current minimum level in one round, and redistribute
-each link's residual capacity over its still-unconstrained connections
-by recomputing the levels from scratch each round.
+An independent implementation of the fair share the equilibrium judge
+(:mod:`repro.obs.judge`) holds packet runs to, following the
+*centralized* algorithm of Fahmy, Jain et al., "On Determining the Fair
+Bandwidth Share for ABR Connections in ATM Networks": order links by
+their advertised bottleneck level, saturate every link at the current
+minimum level in one round, and redistribute each link's residual
+capacity over its still-unconstrained connections by recomputing the
+levels from scratch each round.
 
 :func:`repro.core.fairness.max_min_allocation` computes the same
 allocation by incremental water-filling (one bottleneck per iteration,
 mutated residuals).  The two are intentionally structurally different —
 round-based residual *recomputation* here versus incremental capacity
 *mutation* there — so agreement between them (asserted by the oracle
-unit tests and spot-checked per batch by the harness) is meaningful
+unit tests and by the judge on every run it judges) is meaningful
 cross-validation, not the same code run twice.
 
 Extensions carried over so the oracle matches what the simulated
@@ -25,10 +26,7 @@ sessions and re-solving — Fahmy et al.'s "allocate MCR first" variant).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
-# a config's ``(capacities, routes)``, derived once for both tiers' builders
-from repro.configs import topology as topology_of
+from typing import Mapping
 
 #: Relative tolerance for "these links advertise the same level" — the
 #: simultaneous-saturation set of one round.
@@ -142,73 +140,3 @@ def fair_share(capacities: Mapping[str, float],
                 open_caps[link] -= guarantee
             del open_routes[session]
     return pinned
-
-
-# ----------------------------------------------------------------------
-# config-level wiring
-# ----------------------------------------------------------------------
-def oracle_for_config(config: Mapping[str, Any]) -> dict[str, float]:
-    """The phantom-adjusted fair share a config's ABR sessions target.
-
-    Reads the algorithm's ``utilization_factor`` (phantom weight
-    ``1/f``) and the per-session weight/MCR/PCR overrides straight from
-    the config, then clamps every share at the session's PCR — the same
-    post-processing :func:`repro.obs.health.oracle_allocation` applies
-    to a built network.
-
-    One refinement the curated health scenarios never need: every
-    session returns one backward RM cell per ``Nrm`` forward cells, and
-    that stream consumes ``rate / Nrm`` of capacity on every *reverse*
-    port of its route.  With one-directional traffic those ports are
-    idle, so :mod:`repro.obs.health` can ignore the tax; generated
-    configs mix directions freely, where ~3% of a loaded link can be
-    backward RM cells of the opposing sessions.  The coupled fixpoint
-    (shares depend on taxed capacities depend on shares) is solved by
-    iterating the solver — the perturbation is tiny, so a handful of
-    rounds converge far past the ε-band's resolution.
-    """
-    from repro.atm.params import AbrParams
-    from repro.core.params import PhantomParams
-
-    capacities, routes = topology_of(config)
-    knobs = dict(config.get("algorithm_params") or {})
-    factor = float(knobs.get("utilization_factor",
-                             PhantomParams().utilization_factor))
-    weights: dict[str, float] = {}
-    minimums: dict[str, float] = {}
-    pcr: dict[str, float] = {}
-    rm_fraction: dict[str, float] = {}
-    reverse: dict[str, list[str]] = {}
-    for session in config.get("sessions", ()):
-        params = AbrParams(**dict(session.get("params") or {}))
-        vc = session["vc"]
-        weights[vc] = params.weight
-        if params.mcr > 0:
-            minimums[vc] = params.mcr
-        pcr[vc] = params.pcr
-        rm_fraction[vc] = 1.0 / params.nrm
-        reverse[vc] = [link.split("->")[1] + "->" + link.split("->")[0]
-                       for link in routes[vc]]
-
-    def solve(caps: Mapping[str, float]) -> dict[str, float]:
-        allocation = fair_share(caps, routes,
-                                phantom_weight=1.0 / factor,
-                                weights=weights,
-                                minimums=minimums or None)
-        return {vc: min(rate, pcr[vc]) for vc, rate in allocation.items()}
-
-    shares = solve(capacities)
-    for _ in range(8):
-        tax = dict.fromkeys(capacities, 0.0)
-        for vc, ports in reverse.items():
-            for port in ports:
-                tax[port] += shares[vc] * rm_fraction[vc]
-        taxed = {link: max(cap - tax[link], cap * 1e-3)
-                 for link, cap in capacities.items()}
-        refined = solve(taxed)
-        worst = max(abs(refined[vc] - shares[vc])
-                    / max(shares[vc], 1e-12) for vc in shares)
-        shares = refined
-        if worst < 1e-12:
-            break
-    return shares

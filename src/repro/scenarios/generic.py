@@ -68,6 +68,9 @@ def build_atm(config: Mapping[str, Any], *,
     *chosen* algorithm's module.
 
     ``seed=None`` gives on/off sessions fixed periods at their means.
+    The run carries ``config``, which the health judge reads its gates
+    from; a config naming no ``algorithm`` claims the schema default,
+    ``"phantom"``, so a caller building another law should name it.
     """
     check_config(config)
     root_seed = seed if seed is not None else 0
@@ -121,7 +124,8 @@ def build_atm(config: Mapping[str, Any], *,
 
     duration = float(config.get("duration", 0.25))
     a, b = bottleneck(config).split("->")
-    result = AtmRun(net=net, bottleneck=net.trunk(a, b), duration=duration)
+    result = AtmRun(net=net, bottleneck=net.trunk(a, b), duration=duration,
+                    config=config)
     if run:
         net.run(until=duration)
     return result

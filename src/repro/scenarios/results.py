@@ -9,6 +9,7 @@ paper's figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.analysis import jain_index, queue_stats, utilization
 from repro.atm.network import AtmNetwork
@@ -20,11 +21,13 @@ from repro.tcp.router import PacketPort
 
 @dataclass
 class AtmRun:
-    """A completed ATM scenario."""
+    """A completed ATM scenario, with the config it was built from
+    (what :mod:`repro.obs.judge` reads its gates from)."""
 
     net: AtmNetwork
     bottleneck: OutputPort
     duration: float
+    config: Mapping[str, Any] | None = None
 
     @property
     def queue_probe(self) -> Probe:

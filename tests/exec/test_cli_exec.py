@@ -84,6 +84,9 @@ def test_suite_health_aggregates_and_prints_table(tmp_path, capsys):
     assert health["verdicts"]["violated"] == 0
     assert health["checks"]["conservation"]["pass"] == 5
     assert all(t["health"] == "pass" for t in mani["tasks"])
+    # at scale 0.05 no run is long enough to judge; the table says why
+    assert health["not_applicable"] == {"factor": 1, "horizon": 4}
+    assert "runs by gate" in out
 
 
 def test_suite_rejects_unknown_experiment(tmp_path, capsys):

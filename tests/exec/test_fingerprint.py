@@ -276,3 +276,21 @@ def test_config_table_edit_invalidates_both_tiers_not_tcp(copied_tree):
     for name in ("atm", "capc", "fluid", "hybrid"):
         assert after[name] != before[name], name
     assert after["tcp"] == before["tcp"]
+
+
+def test_judge_edit_invalidates_every_judged_task(copied_tree):
+    # the equilibrium judge's verdicts are cached with the result and a
+    # fuzz campaign classifies from them, so an edit to the judge must
+    # retire every ATM and fluid entry (TCP runs are never judged)
+    before = _fingerprints(copied_tree)
+    before_fuzz = task_fingerprint(_fuzz_spec(),
+                                   index=SourceIndex(root=copied_tree))
+    with (copied_tree / "obs" / "judge.py").open("a") as fh:
+        fh.write("\n# touched by the invalidation test\n")
+    after = _fingerprints(copied_tree)
+    assert task_fingerprint(_fuzz_spec(),
+                            index=SourceIndex(root=copied_tree)) \
+        != before_fuzz
+    for name in ("atm", "capc", "fluid", "hybrid"):
+        assert after[name] != before[name], name
+    assert after["tcp"] == before["tcp"]

@@ -8,8 +8,10 @@ from repro.atm.params import AbrParams
 from repro.core import PhantomAlgorithm
 from repro.core.fairness import max_min_allocation
 from repro.fuzz.gen import generate_batch
-from repro.fuzz.oracle import fair_share, oracle_for_config, topology_of
+from repro.configs import topology as topology_of
 from repro.obs.health import oracle_allocation
+from repro.obs.judge import oracle_for_config
+from repro.obs.oracle import fair_share
 from repro.scenarios import (on_off, parking_lot, rtt_spread,
                              staggered_start, transient)
 
@@ -123,9 +125,9 @@ def test_agrees_with_water_filling_on_generated_topologies():
 @pytest.mark.parametrize("builder", [staggered_start, rtt_spread,
                                      parking_lot, transient, on_off])
 def test_agrees_with_the_health_oracle_on_curated_builders(builder):
-    # the health report's oracle reads a *built* network; the fuzz
-    # oracle reads a config.  Feed the built network's exporters into
-    # fair_share and both must assign the same shares.
+    # the health report's oracle reads the config the run was built
+    # from.  Feed the *built* network's exporters into fair_share and
+    # both must assign the same shares.
     run = builder(PhantomAlgorithm, run=False)
     net = run.net
     routes = {vc: path for vc, path in net.routes().items() if path}

@@ -121,7 +121,7 @@ def test_obs_health_gated_scenario_still_passes(capsys):
                  "--set", "duration=0.1"]) == 0
     out = capsys.readouterr().out
     assert "verdict  : pass" in out
-    assert "no steady greedy" in out
+    assert "on/off demand" in out
 
 
 def test_parse_overrides_nesting_and_json_values():

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.configs import FLUID, NAMED, PAPER, validate_config
+from repro.configs import FLUID, NAMED, PAPER, topology, validate_config
 from repro.core import PhantomAlgorithm
 from repro.exec.registry import all_scenarios, get_scenario
 from repro.fluid.scenarios import build_fluid
-from repro.fuzz.oracle import topology_of
 from repro.scenarios.generic import build_atm
 
 
@@ -28,13 +27,13 @@ def test_oracle_topology_matches_the_built_packet_network(name):
     config = NAMED[name]()
     net = build_atm(config, algorithm_factory=PhantomAlgorithm,
                     run=False).net
-    assert topology_of(config) == (net.capacities(), net.routes())
+    assert topology(config) == (net.capacities(), net.routes())
 
 
 @pytest.mark.parametrize("name", FLUID)
 def test_fluid_network_carries_the_same_sessions_and_ports(name):
     config = NAMED[name]()
-    capacities, routes = topology_of(config)
+    capacities, routes = topology(config)
     net = build_fluid(config, run=False).net
     assert net.routes() == routes
     # the fluid tier builds only the ports some session crosses
