@@ -11,6 +11,7 @@ RM cells of the sessions whose forward path crosses the port.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter, deque
 from heapq import heappush
 
@@ -75,7 +76,9 @@ class OutputPort(CellSink):
     the quantity Phantom measures.  The total queue length (in cells) is
     recorded in :attr:`queue_probe`, the ABR level separately in
     :attr:`abr_queue_probe` — the "Queue length" series of the paper's
-    figures.
+    figures.  While no guaranteed cell has been queued the two probes
+    share one pair of columns (the series are identical then), so
+    ``abr_queue_probe`` must only be read, never recorded into.
     """
 
     PRIORITY_LEVELS = 2
@@ -97,6 +100,7 @@ class OutputPort(CellSink):
 
         self._queues: list[deque[Cell]] = [
             deque() for _ in range(self.PRIORITY_LEVELS)]
+        self._guaranteed_queue = self._queues[0]
         self._abr_queue = self._queues[-1]
         self._sink_receive = sink.receive
         # hot-path constants: an unbounded buffer becomes an unreachable
@@ -154,13 +158,18 @@ class OutputPort(CellSink):
         #: Cumulative drop count as a step series (pairs with
         #: :attr:`drops_by_vc` for per-VC attribution).
         self.drops_probe = StepProbe(f"{name}.drops")
-        # raw storage of the two per-cell probes, for the hand-inlined
+        # raw storage of the per-cell queue probe, for the hand-inlined
         # records in receive/_transmitted (the arrays mutate in place,
         # so these aliases stay valid for the probe's life)
         self._q_times = self.queue_probe.times
         self._q_vals = self.queue_probe.values
-        self._a_times = self.abr_queue_probe.times
-        self._a_vals = self.abr_queue_probe.values
+        # Until the first guaranteed (level-0) cell is queued, the ABR
+        # level is the whole queue and the two series are identical, so
+        # the ABR probe shares the total's columns and the per-cell
+        # paths record once; _unshare_abr_series splits them.
+        self._abr_shared = True
+        self.abr_queue_probe.times = self._a_times = self._q_times
+        self.abr_queue_probe.values = self._a_vals = self._q_vals
         self.arrivals = 0
         self.departures = 0
         self.drops = 0
@@ -195,6 +204,14 @@ class OutputPort(CellSink):
             residual = floor
         self.cell_time = units.cell_time(residual)
 
+    def _unshare_abr_series(self) -> None:
+        """Give the ABR probe its own columns, a copy of the shared
+        series, from the first guaranteed-level enqueue on."""
+        self._abr_shared = False
+        probe = self.abr_queue_probe
+        probe.times = self._a_times = array("d", self._q_times)
+        probe.values = self._a_vals = array("d", self._q_vals)
+
     def receive(self, cell: Cell) -> None:
         """Cell routed to this port by the switch."""
         self.arrivals += 1
@@ -222,11 +239,14 @@ class OutputPort(CellSink):
         qlen = self._qlen = self._qlen + 1
         if level == max_level:
             self._abr_qlen += 1
+        elif self._abr_shared:
+            self._unshare_abr_series()
         # StepProbe.record hand-inlined for both queue probes (dedup
         # equal values, coalesce equal timestamps; the backwards-time
-        # guard is skipped — simulation time is monotonic here).  Two
-        # probe updates per cell event make the call overhead itself the
-        # dominant cost, hence no helper call.
+        # guard is skipped — simulation time is monotonic here).  At one
+        # or two probe updates per cell event the call overhead itself
+        # is the dominant cost, hence no helper call.  The ABR record is
+        # skipped while its series shares the total's columns.
         now = self.sim.now
         vals = self._q_vals
         if not vals or vals[-1] != qlen:
@@ -236,15 +256,16 @@ class OutputPort(CellSink):
             else:
                 times.append(now)
                 vals.append(qlen)
-        value = self._abr_qlen
-        vals = self._a_vals
-        if not vals or vals[-1] != value:
-            times = self._a_times
-            if times and times[-1] == now:
-                vals[-1] = value
-            else:
-                times.append(now)
-                vals.append(value)
+        if not self._abr_shared:
+            value = self._abr_qlen
+            vals = self._a_vals
+            if not vals or vals[-1] != value:
+                times = self._a_times
+                if times and times[-1] == now:
+                    vals[-1] = value
+                else:
+                    times.append(now)
+                    vals.append(value)
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(now, "port.enqueue", self.name,
@@ -283,15 +304,16 @@ class OutputPort(CellSink):
                 else:
                     times.append(now)
                     vals.append(qlen)
-            value = self._abr_qlen
-            vals = self._a_vals
-            if not vals or vals[-1] != value:
-                times = self._a_times
-                if times and times[-1] == now:
-                    vals[-1] = value
-                else:
-                    times.append(now)
-                    vals.append(value)
+            if not self._abr_shared:
+                value = self._abr_qlen
+                vals = self._a_vals
+                if not vals or vals[-1] != value:
+                    times = self._a_times
+                    if times and times[-1] == now:
+                        vals[-1] = value
+                    else:
+                        times.append(now)
+                        vals.append(value)
             self.departures += 1
             on_departure = self._alg_on_departure
             if on_departure is not None:
@@ -309,8 +331,9 @@ class OutputPort(CellSink):
                 self._sink_receive(cell)
             if self._qlen:
                 # non-preemptive priority: the next queue to serve is
-                # fixed now, at this service completion
-                self._serving = next(q for q in self._queues if q)
+                # fixed now, at this service completion (level 0 first;
+                # a non-empty deque is truthy)
+                self._serving = self._guaranteed_queue or self._abr_queue
                 at = now + self.cell_time
                 if sim.advance_inline(at):
                     continue

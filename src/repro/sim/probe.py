@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import islice
+from operator import add, mul, sub
 from typing import Iterable, Iterator
 
 
@@ -108,10 +111,15 @@ class Probe:
         horizon = self.times[-1] if end is None else end
         if horizon < self.times[-1]:
             return self.window(self.times[0], horizon).time_average(horizon)
-        total = 0.0
-        for i, (t, v) in enumerate(self):
-            t_next = self.times[i + 1] if i + 1 < len(self) else horizon
-            total += v * (t_next - t)
+        times, values = self.times, self.values
+        # v * (t_next - t) per held interval, then the last value held
+        # to the horizon, added strictly left to right: reduce(add) is
+        # the plain float loop run in C (sum would compensate rounding
+        # on Python >= 3.12 and change the last bits)
+        total = reduce(add, map(mul, values,
+                                map(sub, islice(times, 1, None), times)),
+                       0.0)
+        total += values[-1] * (horizon - times[-1])
         span = horizon - self.times[0]
         if span <= 0:
             return self.values[-1]
